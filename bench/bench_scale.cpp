@@ -4,8 +4,9 @@
 //
 // Phase 1 — full simulations on topo::run_big_tree (collapsed group leaves,
 // one sender census entry and ACK stream per member) sweeping
-// n in {27, 10^3, 10^4} (+ 10^5 with --full), drop-tail AND RED, in both
-// census modes (kExact everywhere; kSampled spot-checked at 10^3 / 10^4).
+// n in {27, 10^3, 10^4} (+ 10^5 with --full), drop-tail AND RED.  The census
+// axis is the reservoir size: the default holds every member ("exact" cases,
+// run everywhere); 256 ("sampled" cases) is spot-checked at 10^3 / 10^4.
 // Each run checks
 //   * the Theorem band for its n: RLA/worst-TCP throughput inside
 //     (1/3, sqrt(3n)) under RED, (1/4, 2n) under drop-tail;
@@ -13,10 +14,10 @@
 //     per-receiver baseline (RlaSender::baseline_state_bytes).
 //
 // Phase 2 — census microbenchmark: ns per congestion signal (on_signal +
-// recompute + srtt_max) at n in {10^4, 10^5, 10^6} for kExact vs kSampled,
-// demonstrating the O(N) -> O(reservoir) census scan. 10^6 receivers run
-// here only (state + signal plumbing, no packet simulation) — that is the
-// million-leaf smoke level.
+// recompute + srtt_max) at n in {10^4, 10^5, 10^6} for the default reservoir
+// vs 256, demonstrating the O(N) -> O(reservoir) census scan. 10^6 receivers
+// run here only (state + signal plumbing, no packet simulation) — that is
+// the million-leaf smoke level.
 //
 // Exp-runner based: `--jobs N`, `--replicates R`, `--json PATH`, `--smoke`
 // (n <= 10^3, CI-sized), `--full` (adds n = 10^5), plus the replay flags
@@ -118,12 +119,11 @@ exp::Metrics scale_metrics(const topo::BigTreeResult& res, int n, bool red,
 
 /// Census-only microbenchmark: one signal = on_signal + recompute +
 /// srtt_max, the exact per-signal work of RlaSender::handle_congestion_
-/// signal. Returns ns/signal.
-double census_ns_per_signal(int n, cc::CensusMode mode, double* bytes_per) {
+/// signal, with a census of `n` members at reservoir size `sp`. Returns
+/// ns/signal.
+double census_ns_per_signal(int n, const cc::CensusSampleParams& sp,
+                            double* bytes_per) {
   cc::TroubledCensus census(20.0, 0.25);
-  cc::CensusSampleParams sp;
-  sp.mode = mode;
-  sp.reservoir = kSampledReservoir;
   census.configure_sampling(sp);
   census.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
@@ -133,7 +133,7 @@ double census_ns_per_signal(int n, cc::CensusMode mode, double* bytes_per) {
   // Deterministic member sequence (LCG); time grows so troubled epochs age.
   std::uint64_t x = 0x2545F4914F6CDD1DULL;
   const long iters =
-      mode == cc::CensusMode::kExact
+      sp.reservoir >= static_cast<std::size_t>(n)
           ? std::max(20L, 20000000L / n)  // O(n) scans: bound total work
           : 20000L;                       // O(reservoir) per signal
   double t = 1.0;
@@ -211,10 +211,8 @@ int main(int argc, char** argv) {
     cfg.duration = std::atof(spec.point.get("dur", "20").c_str());
     cfg.warmup = std::atof(spec.point.get("warm", "5").c_str());
     cfg.seed = spec.seed;
-    if (spec.point.get("census", "exact") == "sampled") {
-      cfg.rla.census.mode = cc::CensusMode::kSampled;
+    if (spec.point.get("census", "exact") == "sampled")
       cfg.rla.census.reservoir = kSampledReservoir;
-    }
 
     auto session = replay.session(spec);
     cfg.instrument = session->instrument();
@@ -262,19 +260,20 @@ int main(int argc, char** argv) {
   }
   std::printf("\nband checks: %d/%d in band\n", bands_in, bands_checked);
 
-  // Phase 2: census microbenchmark (kExact O(n) vs kSampled O(reservoir)).
-  std::printf("\ncensus cost per congestion signal (reservoir %zu):\n",
-              kSampledReservoir);
-  std::printf("%10s %14s %14s %12s\n", "n", "exact ns/sig", "sampled ns/sig",
+  // Phase 2: census microbenchmark (default reservoir O(n) vs 256
+  // O(reservoir)); the trajectory keys keep the exact/sampled names.
+  std::printf("\ncensus cost per congestion signal by reservoir size:\n");
+  std::printf("%10s %14s %14s %12s\n", "n", "default ns/sig",
+              ("k=" + std::to_string(kSampledReservoir) + " ns/sig").c_str(),
               "B/rcvr");
   std::vector<std::pair<std::string, double>> traj;
   const int census_ns[] = {10000, 100000, 1000000};
   for (int n : census_ns) {
     if (opt.smoke && n > 100000) break;
     double bytes_per = 0.0;
-    const double exact = census_ns_per_signal(n, cc::CensusMode::kExact, nullptr);
-    const double sampled =
-        census_ns_per_signal(n, cc::CensusMode::kSampled, &bytes_per);
+    const double exact = census_ns_per_signal(n, {}, nullptr);
+    const double sampled = census_ns_per_signal(
+        n, {.reservoir = kSampledReservoir}, &bytes_per);
     std::printf("%10d %14.0f %14.0f %12.1f\n", n, exact, sampled, bytes_per);
     traj.emplace_back("census.exact_ns_n" + std::to_string(n), exact);
     traj.emplace_back("census.sampled_ns_n" + std::to_string(n), sampled);

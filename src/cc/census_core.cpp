@@ -4,236 +4,192 @@
 
 namespace rlacast::cc {
 
-void CensusCore::reserve(std::size_t n) {
-  troubled.reserve(n);
-  state.reserve(n);
-  if (slim_) {
-    slot_.reserve(n);
-    return;
-  }
-  interval_.reserve(n);
-  last_signal_.reserve(n);
-  signals_.reserve(n);
-  epoch_signals_.reserve(n);
-  srtt_.reserve(n);
-  state_until_.reserve(n);
-  strikes_.reserve(n);
+void CensusCore::reserve(std::size_t members, std::size_t slots) {
+  troubled.reserve(members);
+  state.reserve(members);
+  slot_.reserve(members);
+  interval_.reserve(slots);
+  last_signal_.reserve(slots);
+  epoch_signals_.reserve(slots);
+  signals_.reserve(slots);
+  srtt_.reserve(slots);
+  state_until_.reserve(slots);
+  strikes_.reserve(slots);
 }
 
 int CensusCore::add() {
   troubled.push_back(0);
   state.push_back(MemberState::kActive);
-  if (slim_) {
-    slot_.push_back(-1);
-  } else {
-    interval_.emplace_back(gain_);
+  slot_.push_back(-1);
+  return static_cast<int>(state.size()) - 1;
+}
+
+std::size_t CensusCore::ensure_slot(int i) {
+  std::int32_t& s = slot_[static_cast<std::size_t>(i)];
+  if (s < 0) {
+    s = static_cast<std::int32_t>(interval_.size());
+    interval_.push_back(0.0);
     last_signal_.push_back(sim::kNever);
-    signals_.push_back(0);
     epoch_signals_.push_back(0);
+    signals_.push_back(0);
     srtt_.push_back(0.0);
     state_until_.push_back(0.0);
     strikes_.push_back(0);
   }
-  return static_cast<int>(state.size()) - 1;
-}
-
-CensusCore::MemberStats& CensusCore::ensure_slot(int i) {
-  const auto u = static_cast<std::size_t>(i);
-  if (slot_[u] < 0) {
-    slot_[u] = static_cast<std::int32_t>(stats_.size());
-    stats_.emplace_back(gain_);
-  }
-  return stats_[static_cast<std::size_t>(slot_[u])];
+  return static_cast<std::size_t>(s);
 }
 
 void CensusCore::record_signal(int i, sim::SimTime now) {
-  const auto u = static_cast<std::size_t>(i);
-  if (slim_) {
-    MemberStats& m = ensure_slot(i);
-    if (m.last_signal != sim::kNever) m.interval.add(now - m.last_signal);
-    m.last_signal = now;
-    ++m.signals;
-    ++m.epoch_signals;
-    return;
-  }
-  if (last_signal_[u] != sim::kNever) interval_[u].add(now - last_signal_[u]);
-  last_signal_[u] = now;
-  ++signals_[u];
-  ++epoch_signals_[u];
+  const std::size_t s = ensure_slot(i);
+  const sim::SimTime gap = now - last_signal_[s];
+  if (epoch_signals_[s] == 1)
+    interval_[s] = gap;  // the EWMA's first sample
+  else if (epoch_signals_[s] > 1)
+    interval_[s] += gain_ * (gap - interval_[s]);
+  last_signal_[s] = now;
+  ++signals_[s];
+  ++epoch_signals_[s];
 }
 
 void CensusCore::reset_epoch(int i) {
-  const auto u = static_cast<std::size_t>(i);
-  if (slim_) {
-    // A member with no slot has no history to forget.
-    if (MemberStats* m = slot_of(i)) {
-      m->interval = stats::Ewma(gain_);
-      m->last_signal = sim::kNever;
-      m->epoch_signals = 0;
-    }
-    return;
-  }
-  interval_[u] = stats::Ewma(gain_);
-  last_signal_[u] = sim::kNever;
-  epoch_signals_[u] = 0;
+  // A member with no slot has no history to forget.
+  if (slot(i) < 0) return;
+  const auto s = static_cast<std::size_t>(slot(i));
+  last_signal_[s] = sim::kNever;
+  epoch_signals_[s] = 0;
 }
 
 double CensusCore::effective_interval(int i, sim::SimTime now) const {
-  if (excluded(i)) return -1.0;
-  const stats::Ewma* ewma;
-  sim::SimTime last;
-  if (slim_) {
-    const MemberStats* m = slot_of(i);
-    if (m == nullptr || m->epoch_signals == 0) return -1.0;
-    ewma = &m->interval;
-    last = m->last_signal;
-  } else {
-    const auto u = static_cast<std::size_t>(i);
-    if (epoch_signals_[u] == 0) return -1.0;
-    ewma = &interval_[u];
-    last = last_signal_[u];
-  }
-  const double since_last = now - last;
-  if (!ewma->initialized()) return std::max(since_last, 1e-12);
-  return std::max(ewma->value(), since_last);
+  if (slot(i) < 0 || excluded(i)) return -1.0;
+  const auto s = static_cast<std::size_t>(slot(i));
+  if (epoch_signals_[s] == 0) return -1.0;
+  const double since_last = now - last_signal_[s];
+  if (epoch_signals_[s] == 1) return std::max(since_last, 1e-12);
+  return std::max(interval_[s], since_last);
 }
 
 double CensusCore::srtt_of(int i) const {
-  if (!slim_) return srtt_[static_cast<std::size_t>(i)];
-  const MemberStats* m = slot_of(i);
-  return m != nullptr ? m->srtt : 0.0;
+  return slot(i) < 0 ? 0.0 : srtt_[static_cast<std::size_t>(slot(i))];
 }
 
-void CensusCore::set_srtt(int i, double srtt, bool ensure) {
-  if (!slim_) {
-    srtt_[static_cast<std::size_t>(i)] = srtt;
-    return;
-  }
-  if (MemberStats* m = slot_of(i)) {
-    m->srtt = srtt;
-    return;
-  }
-  if (ensure) ensure_slot(i).srtt = srtt;
+void CensusCore::set_srtt(int i, double srtt) {
+  if (slot(i) >= 0) srtt_[static_cast<std::size_t>(slot(i))] = srtt;
 }
 
 sim::SimTime CensusCore::last_signal_at(int i) const {
-  if (!slim_) return last_signal_[static_cast<std::size_t>(i)];
-  const MemberStats* m = slot_of(i);
-  return m != nullptr ? m->last_signal : sim::kNever;
+  return slot(i) < 0 ? sim::kNever
+                     : last_signal_[static_cast<std::size_t>(slot(i))];
 }
 
 std::uint64_t CensusCore::signal_count(int i) const {
-  if (!slim_) return signals_[static_cast<std::size_t>(i)];
-  const MemberStats* m = slot_of(i);
-  return m != nullptr ? m->signals : 0;
+  return slot(i) < 0 ? 0 : signals_[static_cast<std::size_t>(slot(i))];
 }
 
 std::uint64_t CensusCore::epoch_signal_count(int i) const {
-  if (!slim_) return epoch_signals_[static_cast<std::size_t>(i)];
-  const MemberStats* m = slot_of(i);
-  return m != nullptr ? m->epoch_signals : 0;
+  return slot(i) < 0 ? 0 : epoch_signals_[static_cast<std::size_t>(slot(i))];
 }
 
 int CensusCore::strike_count(int i) const {
-  if (!slim_) return strikes_[static_cast<std::size_t>(i)];
-  const MemberStats* m = slot_of(i);
-  return m != nullptr ? m->strikes : 0;
+  return slot(i) < 0 ? 0 : strikes_[static_cast<std::size_t>(slot(i))];
 }
 
-int CensusCore::add_strike(int i) {
-  if (!slim_) return ++strikes_[static_cast<std::size_t>(i)];
-  return ++ensure_slot(i).strikes;
-}
+int CensusCore::add_strike(int i) { return ++strikes_[ensure_slot(i)]; }
 
 sim::SimTime CensusCore::state_until_of(int i) const {
-  if (!slim_) return state_until_[static_cast<std::size_t>(i)];
-  const MemberStats* m = slot_of(i);
-  return m != nullptr ? m->state_until : 0.0;
+  return slot(i) < 0 ? 0.0 : state_until_[static_cast<std::size_t>(slot(i))];
 }
 
 void CensusCore::set_state_until(int i, sim::SimTime t) {
-  if (!slim_) {
-    state_until_[static_cast<std::size_t>(i)] = t;
-    return;
-  }
-  ensure_slot(i).state_until = t;
+  state_until_[ensure_slot(i)] = t;
 }
 
 std::size_t CensusCore::state_bytes() const {
-  std::size_t b = troubled.capacity() + state.capacity() * sizeof(MemberState);
-  if (slim_) {
-    b += slot_.capacity() * sizeof(std::int32_t);
-    b += stats_.capacity() * sizeof(MemberStats);
-    return b;
-  }
-  b += interval_.capacity() * sizeof(stats::Ewma) +
-       last_signal_.capacity() * sizeof(sim::SimTime) +
-       signals_.capacity() * sizeof(std::uint64_t) +
-       epoch_signals_.capacity() * sizeof(std::uint64_t) +
-       srtt_.capacity() * sizeof(double) +
-       state_until_.capacity() * sizeof(sim::SimTime) +
-       strikes_.capacity() * sizeof(int);
-  return b;
+  return troubled.capacity() + state.capacity() * sizeof(MemberState) +
+         slot_.capacity() * sizeof(std::int32_t) +
+         interval_.capacity() * sizeof(double) +
+         last_signal_.capacity() * sizeof(sim::SimTime) +
+         epoch_signals_.capacity() * sizeof(std::uint64_t) +
+         signals_.capacity() * sizeof(std::uint64_t) +
+         srtt_.capacity() * sizeof(double) +
+         state_until_.capacity() * sizeof(sim::SimTime) +
+         strikes_.capacity() * sizeof(int);
 }
 
-std::uint64_t SampleReservoir::hash(int i) const {
-  // splitmix64 finalizer: a fixed bijection of (seed + id), so the sample
-  // is a deterministic function of the active set and consumes no RNG.
-  std::uint64_t x = seed_ + static_cast<std::uint64_t>(i);
+SampleReservoir::Entry SampleReservoir::entry(int i) {
+  // splitmix64 finalizer of (seed + id): a fixed bijection, so the sample is
+  // a deterministic function of the active set and consumes no RNG.
+  constexpr std::uint64_t kSeed = 0x9E3779B97F4A7C15ULL;
+  std::uint64_t x = kSeed + static_cast<std::uint64_t>(i);
   x += 0x9E3779B97F4A7C15ULL;
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
+  return Entry{x ^ (x >> 31), i};
 }
 
-void SampleReservoir::insert(int i) {
-  if (capacity_ == 0) return;
-  if (static_cast<std::size_t>(i) >= in_sample_.size())
-    in_sample_.resize(static_cast<std::size_t>(i) + 1, 0);
-  const Entry e{hash(i), i};
-  if (entries_.size() == capacity_ && !(e < entries_.back())) return;
-  if (entries_.size() == capacity_) {
-    in_sample_[static_cast<std::size_t>(entries_.back().id)] = 0;
-    entries_.pop_back();
-  }
-  entries_.insert(std::upper_bound(entries_.begin(), entries_.end(), e), e);
-  in_sample_[static_cast<std::size_t>(i)] = 1;
-  refresh_ids();
-}
-
-void SampleReservoir::erase(int i, const CensusCore& core) {
-  if (!tracked(i)) return;
-  in_sample_[static_cast<std::size_t>(i)] = 0;
-  // The evicted slot may admit the smallest not-yet-tracked active member;
-  // only a full rescan knows which one that is.
+void SampleReservoir::configure(std::size_t capacity, CensusCore& core) {
+  capacity_ = capacity;
   rebuild(core);
 }
 
-void SampleReservoir::rebuild(const CensusCore& core) {
-  scratch_.clear();
-  std::fill(in_sample_.begin(), in_sample_.end(), 0);
-  if (in_sample_.size() < core.size()) in_sample_.resize(core.size(), 0);
-  for (std::size_t i = 0; i < core.size(); ++i) {
-    if (core.excluded(static_cast<int>(i))) continue;
-    scratch_.push_back(Entry{hash(static_cast<int>(i)), static_cast<int>(i)});
-  }
-  if (scratch_.size() > capacity_) {
-    std::nth_element(scratch_.begin(),
-                     scratch_.begin() + static_cast<std::ptrdiff_t>(capacity_),
-                     scratch_.end());
-    scratch_.resize(capacity_);
-  }
-  std::sort(scratch_.begin(), scratch_.end());
-  entries_ = scratch_;
-  for (const Entry& e : entries_)
-    in_sample_[static_cast<std::size_t>(e.id)] = 1;
-  refresh_ids();
+void SampleReservoir::reserve(std::size_t n) {
+  in_sample_.reserve(n);
+  ids_.reserve(std::min(n, capacity_));
 }
 
-void SampleReservoir::refresh_ids() {
+void SampleReservoir::insert(int i, CensusCore& core) {
+  if (static_cast<std::size_t>(i) >= in_sample_.size())
+    in_sample_.resize(static_cast<std::size_t>(i) + 1, 0);
+  if (ids_.size() >= capacity_) {
+    // Full: `i` only enters by displacing the largest sampled hash.
+    if (capacity_ == 0 || !(entry(i) < largest_)) return;
+    in_sample_[static_cast<std::size_t>(largest_.id)] = 0;
+    ids_.erase(std::lower_bound(ids_.begin(), ids_.end(), largest_.id));
+  }
+  admit(i, core);
+  if (ids_.size() == capacity_) find_largest();
+}
+
+void SampleReservoir::erase(int i, CensusCore& core, int active) {
+  if (!tracked(i)) return;
+  in_sample_[static_cast<std::size_t>(i)] = 0;
+  ids_.erase(std::lower_bound(ids_.begin(), ids_.end(), i));
+  // Some active member is left out: only a rescan knows which one has the
+  // smallest hash and takes the freed place.
+  if (static_cast<std::size_t>(active) > ids_.size()) rebuild(core);
+}
+
+void SampleReservoir::admit(int i, CensusCore& core) {
+  // Joins arrive in id order, so the append is the common case.
+  if (ids_.empty() || ids_.back() < i)
+    ids_.push_back(i);
+  else
+    ids_.insert(std::lower_bound(ids_.begin(), ids_.end(), i), i);
+  in_sample_[static_cast<std::size_t>(i)] = 1;
+  core.ensure_slot(i);
+}
+
+void SampleReservoir::rebuild(CensusCore& core) {
+  std::vector<Entry> active;
+  for (std::size_t i = 0; i < core.size(); ++i)
+    if (!core.excluded(static_cast<int>(i)))
+      active.push_back(entry(static_cast<int>(i)));
+  if (active.size() > capacity_) {
+    std::nth_element(active.begin(),
+                     active.begin() + static_cast<std::ptrdiff_t>(capacity_),
+                     active.end());
+    active.resize(capacity_);
+  }
+  std::sort(active.begin(), active.end(),
+            [](const Entry& a, const Entry& b) { return a.id < b.id; });
   ids_.clear();
-  ids_.reserve(entries_.size());
-  for (const Entry& e : entries_) ids_.push_back(e.id);
+  in_sample_.assign(std::max(in_sample_.size(), core.size()), 0);
+  for (const Entry& e : active) admit(e.id, core);
+  if (ids_.size() == capacity_ && capacity_ > 0) find_largest();
+}
+
+void SampleReservoir::find_largest() {
+  largest_ = entry(ids_.front());
+  for (const int id : ids_) largest_ = std::max(largest_, entry(id));
 }
 
 }  // namespace rlacast::cc

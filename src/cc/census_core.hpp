@@ -1,61 +1,43 @@
 // Flat SoA storage core of the troubled-receiver census, plus the
-// deterministic bottom-k sample reservoir of the sampled census mode.
+// deterministic bottom-k sample reservoir that picks the members the census
+// aggregates scan.
 //
-// CensusCore keeps the per-member fields of the census in one of two
-// layouts, selected with set_slim() before members join:
+// CensusCore keeps two kinds of per-member fields:
 //
-//  * dense (default, the kExact census): every field is a parallel array
-//    indexed by the dense receiver id, so the per-signal census scan walks
-//    flat cache-friendly arrays instead of chasing one heap node per
-//    receiver;
-//  * slim (the kSampled census): only the two flag bytes (troubled, state)
-//    and a slot index stay dense.  The WIDE stats — interval EWMA, signal
-//    counters, srtt mirror, defense clocks — live in pooled slots allocated
-//    on first use: reservoir members, signallers, and quarantined members.
-//    A member that never loses a packet costs ~6 bytes instead of ~70, which
-//    is what makes the sampled sender's per-receiver memory sublinear.
-//    Slots are never freed (strike history must survive rejoins); the pool
-//    is bounded by reservoir + ever-troubled, not by N.
+//  * dense columns indexed by member id: the troubled flag, the defense
+//    state, and a slot index;
+//  * the WIDE stats — interval EWMA, signal counters, srtt mirror, defense
+//    clocks — in pooled slots, one column per field.  Every sampled member
+//    holds a slot (SampleReservoir allocates it on entry); anyone else gets
+//    one on first use (signallers, quarantined members).  Slots are never
+//    freed, since strike history must survive rejoins.
+//
+// With the default reservoir, which holds every member, slots are handed out
+// in join order, so slot == member id and the census scan streams the
+// columns like a dense table.  A bounded reservoir keeps the pool at about
+// reservoir + ever-signalled members, and a member that never loses a packet
+// costs ~7 bytes — what makes the sampled sender's per-receiver memory
+// sublinear.
 //
 // All policy — the troubled rule, the defense state machine, sampling
 // estimates — stays in cc::TroubledCensus; this file is pure bookkeeping.
-//
-// SampleReservoir implements the kSampled census mode's membership sample:
-// the k members with the smallest splitmix64 hash of their id.  The hash is
-// a pure function of (seed, id), so the sample is a deterministic function
-// of the active-member set — no RNG stream is consumed, which keeps
-// record/replay bit-identity and means kSampled with reservoir >= N tracks
-// exactly the active set (the equivalence the census property tests pin).
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "sim/time.hpp"
-#include "stats/ewma.hpp"
 
 namespace rlacast::cc {
 
-/// Census accounting mode (see cc::TroubledCensus).
-///  * kExact   — every signal rescans all members: O(N) per signal, the
-///               historical byte-identical census.
-///  * kSampled — num_trouble_rcvr and srtt_max are estimated from a bounded
-///               bottom-k hash reservoir: O(k) per signal, O(N) only on the
-///               rare membership change.
-enum class CensusMode : std::uint8_t { kExact, kSampled };
-
-/// Sampled-census knobs. The default (kExact) is byte-identical to the
-/// historical census; set mode = kSampled before receivers join.
+/// Census sampling knobs (see cc::TroubledCensus).
 struct CensusSampleParams {
-  CensusMode mode = CensusMode::kExact;
-  /// Reservoir capacity k. With k >= the active-member count the sample is
-  /// the whole membership and every census decision matches kExact
-  /// bit-for-bit; at k << N the num_trouble estimate has relative standard
-  /// error ~ sqrt((1-f)/(f*k)) for troubled fraction f (see DESIGN.md).
-  std::size_t reservoir = 256;
-  /// Seed of the member-id hash (any fixed value works; it only decorrelates
-  /// the sample from the join order).
-  std::uint64_t seed = 0x9E3779B97F4A7C15ULL;
+  /// Reservoir capacity k. The default holds every member, so every census
+  /// decision is exact; at k << N the num_trouble estimate has relative
+  /// standard error ~ sqrt((1-f)/(f*k)) for troubled fraction f (see
+  /// DESIGN.md).
+  std::size_t reservoir = std::numeric_limits<std::size_t>::max();
 };
 
 /// Membership state of one receiver in the hardened census.
@@ -67,21 +49,17 @@ enum class MemberState : std::uint8_t {
 };
 
 /// The member table. cc::TroubledCensus is the only driver; all access to
-/// the wide per-member stats goes through the accessors below so the dense
-/// and slim layouts stay interchangeable.
+/// the wide per-member stats goes through the accessors below.
 class CensusCore {
  public:
   explicit CensusCore(double interval_gain) : gain_(interval_gain) {}
 
-  /// Selects the slim (sparse-slot) layout; call before members join.
-  void set_slim(bool slim) { slim_ = slim; }
-  bool is_slim() const { return slim_; }
+  /// Reserves `members` dense rows and `slots` wide-stat slots (capacity
+  /// hint only; state_bytes() reports capacity, so growth overshoot is not
+  /// free).
+  void reserve(std::size_t members, std::size_t slots);
 
-  /// Reserves the member arrays for `n` members (capacity hint only;
-  /// state_bytes() reports capacity, so growth overshoot is not free).
-  void reserve(std::size_t n);
-
-  /// Appends one member; returns its dense id.
+  /// Appends one member (without a slot); returns its dense id.
   int add();
 
   std::size_t size() const { return state.size(); }
@@ -90,6 +68,9 @@ class CensusCore {
     const MemberState s = state[static_cast<std::size_t>(i)];
     return s == MemberState::kQuarantined || s == MemberState::kExcluded;
   }
+
+  /// Gives member `i` a wide-stat slot unless it has one; returns the slot.
+  std::size_t ensure_slot(int i);
 
   /// EWMA + counter update for one congestion signal (no policy).
   void record_signal(int i, sim::SimTime now);
@@ -103,13 +84,12 @@ class CensusCore {
   /// the member is excluded or has no signal in its current epoch.
   double effective_interval(int i, sim::SimTime now) const;
 
-  // --- wide per-member stats, layout-independent ---------------------------
+  // --- wide per-member stats; a member without a slot reads as fresh -------
   double srtt_of(int i) const;
-  /// Mirrors member `i`'s srtt. In the slim layout the value is only kept
-  /// when a slot exists or `ensure_slot` is set (the caller passes the
-  /// reservoir-tracked bit) — an untracked healthy member's srtt is never
-  /// read by any sampled aggregate, so storing it would defeat the layout.
-  void set_srtt(int i, double srtt, bool ensure_slot);
+  /// Mirrors member `i`'s srtt into its slot.  A member without one is
+  /// unsampled and has never signalled, so no census aggregate reads its
+  /// srtt and storing it would defeat the pool.
+  void set_srtt(int i, double srtt);
   sim::SimTime last_signal_at(int i) const;
   std::uint64_t signal_count(int i) const;
   std::uint64_t epoch_signal_count(int i) const;
@@ -119,95 +99,71 @@ class CensusCore {
   sim::SimTime state_until_of(int i) const;
   void set_state_until(int i, sim::SimTime t);
 
-  /// Number of wide-stat slots in use (slim layout; == size() when dense).
-  std::size_t slot_count() const {
-    return slim_ ? stats_.size() : state.size();
-  }
-
   /// Resident bytes of the member table (capacity-based).
   std::size_t state_bytes() const;
 
-  // Dense per-member flag arrays (both layouts), indexed by receiver id.
+  // Dense per-member flag arrays, indexed by receiver id.
   std::vector<std::uint8_t> troubled;  // current troubled flag
   std::vector<MemberState> state;      // defense state machine
 
  private:
-  /// Wide per-member stats: one slot in the slim layout, one array element
-  /// per field in the dense layout.
-  struct MemberStats {
-    explicit MemberStats(double gain) : interval(gain) {}
-    stats::Ewma interval;                     // signal-interval EWMA
-    sim::SimTime last_signal = sim::kNever;   // most recent signal time
-    std::uint64_t signals = 0;                // lifetime count
-    std::uint64_t epoch_signals = 0;          // since join / last rejoin
-    double srtt = 0.0;                        // sender-reported srtt mirror
-    sim::SimTime state_until = 0.0;           // quarantine/probation expiry
-    int strikes = 0;                          // defense strike count
-  };
+  /// Member `i`'s slot, or -1 when it has none.
+  std::int32_t slot(int i) const { return slot_[static_cast<std::size_t>(i)]; }
 
-  const MemberStats* slot_of(int i) const {
-    const std::int32_t s = slot_[static_cast<std::size_t>(i)];
-    return s >= 0 ? &stats_[static_cast<std::size_t>(s)] : nullptr;
-  }
-  MemberStats* slot_of(int i) {
-    const std::int32_t s = slot_[static_cast<std::size_t>(i)];
-    return s >= 0 ? &stats_[static_cast<std::size_t>(s)] : nullptr;
-  }
-  MemberStats& ensure_slot(int i);
-
-  bool slim_ = false;
   double gain_;
+  std::vector<std::int32_t> slot_;  // per member
 
-  // Dense layout: parallel wide-stat arrays (kExact's cache-friendly scan).
-  std::vector<stats::Ewma> interval_;
-  std::vector<sim::SimTime> last_signal_;
-  std::vector<std::uint64_t> signals_;
-  std::vector<std::uint64_t> epoch_signals_;
-  std::vector<double> srtt_;
-  std::vector<sim::SimTime> state_until_;
-  std::vector<int> strikes_;
-
-  // Slim layout: slot index per member + pooled wide stats.
-  std::vector<std::int32_t> slot_;
-  std::vector<MemberStats> stats_;
+  // Pooled wide stats, one column per field, indexed by slot.  The interval
+  // EWMA carries no initialized flag: it holds a sample exactly when the
+  // current epoch has seen two signals.
+  std::vector<double> interval_;              // signal-interval EWMA
+  std::vector<sim::SimTime> last_signal_;     // most recent signal time
+  std::vector<std::uint64_t> epoch_signals_;  // since join / last rejoin
+  std::vector<std::uint64_t> signals_;        // lifetime count
+  std::vector<double> srtt_;                  // sender-reported srtt mirror
+  std::vector<sim::SimTime> state_until_;     // quarantine/probation expiry
+  std::vector<int> strikes_;                  // defense strike count
 };
 
 /// Bottom-k hash sample over the active census members: the k active ids
-/// with the smallest splitmix64(seed + id).  Insert is O(k); removing a
-/// sampled member triggers a full O(N log k) rebuild (membership changes —
-/// joins, leaves, quarantines — are rare next to signals).  Deterministic:
-/// no RNG stream is consumed.
+/// with the smallest splitmix64 hash of their id.  The hash is a pure
+/// function of the id, so the sample is a deterministic function of the
+/// active set and no RNG stream is consumed (record/replay stays
+/// bit-identical).
+///
+/// While no active member is left out — always, at the default capacity —
+/// a join appends and a leave just drops the member.  Once k is reached a
+/// join only costs O(k) when it displaces the largest sampled hash, and a
+/// leave that opens a place for a left-out member rebuilds from the
+/// membership in O(N); membership changes are rare next to signals.
 class SampleReservoir {
  public:
-  void configure(std::size_t capacity, std::uint64_t seed) {
-    capacity_ = capacity;
-    seed_ = seed;
-  }
+  /// Sets the capacity and rebuilds the sample over `core`'s active members.
+  void configure(std::size_t capacity, CensusCore& core);
 
   std::size_t capacity() const { return capacity_; }
 
-  /// Capacity hint for the dense per-member flag array.
-  void reserve(std::size_t n) { in_sample_.reserve(n); }
+  /// Capacity hint for `n` members.
+  void reserve(std::size_t n);
 
   /// Member `i` became active (join or rejoin).
-  void insert(int i);
+  void insert(int i, CensusCore& core);
 
-  /// Member `i` became inactive (quarantine, exclusion); rebuilds from
-  /// `core` when `i` was part of the sample.
-  void erase(int i, const CensusCore& core);
+  /// Member `i` became inactive, leaving `active` active members; refills
+  /// the freed place from `core` when a left-out member can take it.
+  void erase(int i, CensusCore& core, int active);
 
-  /// True when `i` is currently one of the bottom-k sampled members.
+  /// True when `i` is currently one of the sampled members.
   bool tracked(int i) const {
     return static_cast<std::size_t>(i) < in_sample_.size() &&
            in_sample_[static_cast<std::size_t>(i)] != 0;
   }
 
-  /// Sampled member ids in hash order (smallest first).
+  /// Sampled member ids in ascending order.
   const std::vector<int>& sample() const { return ids_; }
 
   std::size_t state_bytes() const {
-    return entries_.capacity() * sizeof(entries_[0]) +
-           ids_.capacity() * sizeof(int) + in_sample_.capacity();
+    return ids_.capacity() * sizeof(int) + in_sample_.capacity();
   }
 
  private:
@@ -219,16 +175,16 @@ class SampleReservoir {
     }
   };
 
-  std::uint64_t hash(int i) const;
-  void rebuild(const CensusCore& core);
-  void refresh_ids();
+  static Entry entry(int i);
+  /// Adds `i` to the sample and gives it a slot in `core`.
+  void admit(int i, CensusCore& core);
+  void rebuild(CensusCore& core);
+  void find_largest();
 
-  std::size_t capacity_ = 0;
-  std::uint64_t seed_ = 0;
-  std::vector<Entry> entries_;           // sorted, size <= capacity_
-  std::vector<Entry> scratch_;           // rebuild workspace
-  std::vector<int> ids_;                 // entries_[*].id (scan order)
+  std::size_t capacity_ = std::numeric_limits<std::size_t>::max();
+  std::vector<int> ids_;                 // sampled ids, ascending
   std::vector<std::uint8_t> in_sample_;  // per-member flag
+  Entry largest_{0, -1};                 // evicted first from a full sample
 };
 
 }  // namespace rlacast::cc

@@ -24,37 +24,19 @@ double robust_clamped_max(std::vector<double>& values, double k_mads) {
   return std::min(plain_max, std::max(hi, median));
 }
 
-void TroubledCensus::configure_sampling(const CensusSampleParams& sampling) {
-  sampling_ = sampling;
-  if (sampling_.mode == CensusMode::kSampled) {
-    // The slim (sparse-slot) member layout only engages when the mode is
-    // chosen before members join; a late switch keeps the dense layout so
-    // no per-member history is lost.
-    if (core_.size() == 0) core_.set_slim(true);
-    reservoir_.configure(sampling_.reservoir, sampling_.seed);
-    for (std::size_t i = 0; i < core_.size(); ++i)
-      if (!core_.excluded(static_cast<int>(i)))
-        reservoir_.insert(static_cast<int>(i));
-  }
-}
-
 int TroubledCensus::add_receiver() {
   const int idx = core_.add();
-  ++active_count_;
-  ++membership_version_;
-  if (sampling_.mode == CensusMode::kSampled) reservoir_.insert(idx);
+  membership_changed(idx, /*now_active=*/true);
   return idx;
 }
 
 void TroubledCensus::membership_changed(int i, bool now_active) {
   ++membership_version_;
   active_count_ += now_active ? 1 : -1;
-  if (sampling_.mode == CensusMode::kSampled) {
-    if (now_active)
-      reservoir_.insert(i);
-    else
-      reservoir_.erase(i, core_);
-  }
+  if (now_active)
+    reservoir_.insert(i, core_);
+  else
+    reservoir_.erase(i, core_, active_count_);
 }
 
 void TroubledCensus::clear_troubled(int i) {
@@ -104,23 +86,13 @@ void TroubledCensus::rate_check(int i, sim::SimTime now) {
   if (core_.epoch_signal_count(i) < defense_.min_signals) return;
   const double mine = core_.effective_interval(i, now);
   if (mine <= 0.0) return;
-  // Median interval over the OTHER members still speaking for themselves.
-  // kSampled consults the reservoir cohort — the same members every other
-  // census aggregate is estimated from.
+  // Median interval over the OTHER sampled members — the same cohort every
+  // other census aggregate is taken over.
   interval_scratch_.clear();
-  if (sampling_.mode == CensusMode::kSampled) {
-    for (const int j : reservoir_.sample()) {
-      if (j == i) continue;
-      const double e = core_.effective_interval(j, now);
-      if (e > 0.0) interval_scratch_.push_back(e);
-    }
-  } else {
-    for (std::size_t j = 0; j < core_.size(); ++j) {
-      if (static_cast<int>(j) == i) continue;
-      if (core_.excluded(static_cast<int>(j))) continue;
-      const double e = core_.effective_interval(static_cast<int>(j), now);
-      if (e > 0.0) interval_scratch_.push_back(e);
-    }
+  for (const int j : reservoir_.sample()) {
+    if (j == i) continue;
+    const double e = core_.effective_interval(j, now);
+    if (e > 0.0) interval_scratch_.push_back(e);
   }
   // With fewer than 2 honest peers there is no cohort to compare against.
   if (interval_scratch_.size() < 2) return;
@@ -195,22 +167,14 @@ std::vector<int> TroubledCensus::advance_states(sim::SimTime now) {
 
 double TroubledCensus::min_interval(sim::SimTime now) const {
   double best = -1.0;
-  if (sampling_.mode == CensusMode::kSampled) {
-    for (const int i : reservoir_.sample()) {
-      const double e = core_.effective_interval(i, now);
-      if (e < 0.0) continue;
-      if (best < 0.0 || e < best) best = e;
-    }
-    if (last_signaller_ >= 0 && !reservoir_.tracked(last_signaller_)) {
-      const double e = core_.effective_interval(last_signaller_, now);
-      if (e >= 0.0 && (best < 0.0 || e < best)) best = e;
-    }
-    return best;
-  }
-  for (std::size_t i = 0; i < core_.size(); ++i) {
-    const double e = core_.effective_interval(static_cast<int>(i), now);
+  for (const int i : reservoir_.sample()) {
+    const double e = core_.effective_interval(i, now);
     if (e < 0.0) continue;
     if (best < 0.0 || e < best) best = e;
+  }
+  if (last_signaller_ >= 0 && !reservoir_.tracked(last_signaller_)) {
+    const double e = core_.effective_interval(last_signaller_, now);
+    if (e >= 0.0 && (best < 0.0 || e < best)) best = e;
   }
   return best;
 }
@@ -226,68 +190,50 @@ int TroubledCensus::recompute(sim::SimTime now) {
   if (min_int < 0.0) return 0;
   const double bound = eta_ * min_int;
 
-  if (sampling_.mode == CensusMode::kSampled) {
-    // Scan the reservoir; scale the troubled count to the membership.
-    int raw = 0;
-    const std::vector<int>& sample = reservoir_.sample();
-    for (const int i : sample) {
-      const double e = core_.effective_interval(i, now);
-      // The most-congested receiver satisfies e == min_int; the strict "<"
-      // of the paper is made "<=" scaled so that it is always troubled.
-      if (e >= 0.0 && e <= bound) {
-        core_.troubled[static_cast<std::size_t>(i)] = 1;
-        flagged_.push_back(i);
-        ++raw;
-      }
-    }
-    // The listening policy consults troubled(signaller) on every signal, so
-    // the most recent signaller is always evaluated exactly even when the
-    // hash sample skipped it.
-    bool signaller_troubled = false;
-    if (last_signaller_ >= 0 && !core_.excluded(last_signaller_)) {
-      const double e = core_.effective_interval(last_signaller_, now);
-      signaller_troubled = e >= 0.0 && e <= bound;
-      if (signaller_troubled && !reservoir_.tracked(last_signaller_)) {
-        core_.troubled[static_cast<std::size_t>(last_signaller_)] = 1;
-        flagged_.push_back(last_signaller_);
-      }
-    }
-    const double scale =
-        sample.empty() ? 0.0
-                       : static_cast<double>(active_count_) /
-                             static_cast<double>(sample.size());
-    num_troubled_ = static_cast<int>(
-        std::llround(static_cast<double>(raw) * scale));
-    if (raw > 0 || signaller_troubled)
-      num_troubled_ = std::max(num_troubled_, 1);
-    num_troubled_ = std::min(num_troubled_, active_count_);
-    return num_troubled_;
-  }
-
-  for (std::size_t i = 0; i < core_.size(); ++i) {
-    if (core_.excluded(static_cast<int>(i)) ||
-        core_.epoch_signal_count(static_cast<int>(i)) == 0)
-      continue;
-    const double e = core_.effective_interval(static_cast<int>(i), now);
+  // Scan the sample; scale the troubled count to the membership.
+  int raw = 0;
+  const std::vector<int>& sample = reservoir_.sample();
+  for (const int i : sample) {
+    const double e = core_.effective_interval(i, now);
     // The most-congested receiver satisfies e == min_int; the strict "<"
     // of the paper is made "<=" scaled so that it is always troubled.
-    if (e <= bound) {
-      core_.troubled[i] = 1;
-      flagged_.push_back(static_cast<int>(i));
-      ++num_troubled_;
+    if (e >= 0.0 && e <= bound) {
+      core_.troubled[static_cast<std::size_t>(i)] = 1;
+      flagged_.push_back(i);
+      ++raw;
     }
   }
+  // The listening policy consults troubled(signaller) on every signal, so
+  // the most recent signaller is always evaluated exactly even when the
+  // hash sample skipped it.
+  bool signaller_troubled = false;
+  if (last_signaller_ >= 0 && !core_.excluded(last_signaller_)) {
+    const double e = core_.effective_interval(last_signaller_, now);
+    signaller_troubled = e >= 0.0 && e <= bound;
+    if (signaller_troubled && !reservoir_.tracked(last_signaller_)) {
+      core_.troubled[static_cast<std::size_t>(last_signaller_)] = 1;
+      flagged_.push_back(last_signaller_);
+    }
+  }
+  // With the whole membership sampled the scale is exactly 1.
+  const double scale =
+      sample.empty() ? 0.0
+                     : static_cast<double>(active_count_) /
+                           static_cast<double>(sample.size());
+  num_troubled_ = static_cast<int>(
+      std::llround(static_cast<double>(raw) * scale));
+  if (raw > 0 || signaller_troubled)
+    num_troubled_ = std::max(num_troubled_, 1);
+  num_troubled_ = std::min(num_troubled_, active_count_);
   return num_troubled_;
 }
 
 void TroubledCensus::note_srtt(int i, double srtt) {
-  const bool tracked =
-      sampling_.mode != CensusMode::kSampled || reservoir_.tracked(i);
-  core_.set_srtt(i, srtt, /*ensure_slot=*/tracked);
+  core_.set_srtt(i, srtt);
   ++srtt_version_;
   robust_valid_ = false;
-  if (!tracked) return;
-  if (core_.excluded(i)) return;
+  // Only sampled (hence active) members enter the aggregate.
+  if (!reservoir_.tracked(i)) return;
   if (!srtt_max_valid_ || srtt_max_membership_ != membership_version_) return;
   if (srtt >= srtt_max_cache_) {
     srtt_max_cache_ = srtt;
@@ -302,21 +248,11 @@ double TroubledCensus::plain_srtt_max() const {
   if (!srtt_max_valid_ || srtt_max_membership_ != membership_version_) {
     srtt_max_cache_ = 0.0;
     srtt_holder_ = -1;
-    if (sampling_.mode == CensusMode::kSampled) {
-      for (const int i : reservoir_.sample()) {
-        const double v = core_.srtt_of(i);
-        if (v >= srtt_max_cache_) {
-          srtt_max_cache_ = v;
-          srtt_holder_ = i;
-        }
-      }
-    } else {
-      for (std::size_t i = 0; i < core_.size(); ++i) {
-        if (core_.excluded(static_cast<int>(i))) continue;
-        if (core_.srtt_of(static_cast<int>(i)) >= srtt_max_cache_) {
-          srtt_max_cache_ = core_.srtt_of(static_cast<int>(i));
-          srtt_holder_ = static_cast<int>(i);
-        }
+    for (const int i : reservoir_.sample()) {
+      const double v = core_.srtt_of(i);
+      if (v >= srtt_max_cache_) {
+        srtt_max_cache_ = v;
+        srtt_holder_ = i;
       }
     }
     srtt_max_valid_ = true;
@@ -330,15 +266,8 @@ double TroubledCensus::robust_srtt_max() const {
       robust_membership_ == membership_version_)
     return robust_cache_;
   srtt_scratch_.clear();
-  if (sampling_.mode == CensusMode::kSampled) {
-    for (const int i : reservoir_.sample())
-      srtt_scratch_.push_back(core_.srtt_of(i));
-  } else {
-    for (std::size_t i = 0; i < core_.size(); ++i) {
-      if (core_.excluded(static_cast<int>(i))) continue;
-      srtt_scratch_.push_back(core_.srtt_of(static_cast<int>(i)));
-    }
-  }
+  for (const int i : reservoir_.sample())
+    srtt_scratch_.push_back(core_.srtt_of(i));
   robust_cache_ = robust_clamped_max(srtt_scratch_, defense_.srtt_clamp_mads);
   robust_valid_ = true;
   robust_srtt_version_ = srtt_version_;

@@ -17,19 +17,19 @@
 //    receiver whose congestion ended ages out of the census instead of
 //    staying troubled on stale history.
 //
-// Storage is the flat SoA member table of cc::CensusCore (parallel arrays
-// indexed by the dense receiver id); this class layers the troubled rule,
-// the sampled mode, and the defense state machine on top of it.
+// Storage is the flat SoA member table of cc::CensusCore; this class layers
+// the troubled rule, the reservoir sample, and the defense state machine on
+// top of it.
 //
-// Census modes (CensusSampleParams; see DESIGN.md "Memory model"):
-//  * kExact (default): every recompute rescans all members — O(N) per
-//    signal, byte-identical to the historical census.
-//  * kSampled: recompute scans only a deterministic bottom-k hash sample of
-//    the active membership (plus the most recent signaller, whose troubled
-//    flag the listening policy consults directly).  num_trouble_rcvr is the
-//    sample count scaled by active/sample and srtt_max is taken over the
-//    sample, so per-signal work is O(k).  With reservoir >= N the sample is
-//    the whole membership and every decision matches kExact bit-for-bit.
+// Every aggregate (min_interval, the troubled count, srtt_max, the defense's
+// median rate) is taken over a deterministic bottom-k hash sample of the
+// active membership (CensusSampleParams::reservoir; see DESIGN.md "Memory
+// model"), scanned in member-id order.  min_interval and the troubled flags
+// also evaluate the most recent signaller, whose troubled flag the listening
+// policy consults directly.  The default reservoir holds every member, so
+// the sample IS the active membership and every aggregate is exact; a
+// bounded reservoir k makes num_trouble_rcvr the sample count scaled by
+// active/sample and per-signal work O(k).
 //
 // The sender's srtt aggregate also lives here: note_srtt(i, srtt) mirrors
 // each receiver's estimate into the SoA and srtt_max() serves the cached
@@ -61,6 +61,7 @@
 // frontier-progress watchdog, which works with the rate defense off.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -113,15 +114,16 @@ class TroubledCensus : public replay::Snapshotable {
   void set_defense(const CensusDefenseParams& defense) { defense_ = defense; }
   const CensusDefenseParams& defense() const { return defense_; }
 
-  /// Selects the census mode (call before receivers join; the default
-  /// kExact configuration is byte-identical to the historical census).
-  void configure_sampling(const CensusSampleParams& sampling);
-  CensusMode mode() const { return sampling_.mode; }
+  /// Sets the reservoir size.  Callable at any time: the sample is rebuilt
+  /// over the current active members (O(N)).
+  void configure_sampling(const CensusSampleParams& sampling) {
+    reservoir_.configure(sampling.reservoir, core_);
+  }
 
   /// Capacity hint: the expected membership (topology builders know it up
-  /// front; the dense arrays would otherwise pay push_back overshoot).
+  /// front; the member columns would otherwise pay push_back overshoot).
   void reserve(std::size_t n) {
-    core_.reserve(n);
+    core_.reserve(n, std::min(n, reservoir_.capacity()));
     reservoir_.reserve(n);
   }
 
@@ -169,8 +171,8 @@ class TroubledCensus : public replay::Snapshotable {
   std::vector<int> advance_states(sim::SimTime now);
 
   /// Recomputes the troubled flags as of `now`; returns num_trouble_rcvr.
-  /// kExact scans all members; kSampled scans the reservoir plus the most
-  /// recent signaller and scales the count to the active membership.
+  /// Scans the sample plus the most recent signaller and scales the count
+  /// to the active membership (exact while the sample holds everyone).
   int recompute(sim::SimTime now);
 
   bool troubled(int i) const {
@@ -178,9 +180,8 @@ class TroubledCensus : public replay::Snapshotable {
   }
   int num_troubled() const { return num_troubled_; }
 
-  /// Smallest effective interval across receivers (kSampled: across the
-  /// reservoir plus the most recent signaller); <0 when nobody has
-  /// signalled yet.
+  /// Smallest effective interval across the sample plus the most recent
+  /// signaller; <0 when nobody has signalled yet.
   double min_interval(sim::SimTime now) const;
 
   /// The per-receiver effective congestion-signal interval (see above);
@@ -196,12 +197,10 @@ class TroubledCensus : public replay::Snapshotable {
     return core_.last_signal_at(i);
   }
 
-  /// kSampled only: true when `i` is one of the reservoir-tracked members
-  /// (always false in kExact, where every member is tracked implicitly).
-  /// The sender keys its own slim per-receiver state on this.
-  bool sampled_tracked(int i) const {
-    return sampling_.mode == CensusMode::kSampled && reservoir_.tracked(i);
-  }
+  /// True when `i` is one of the sampled members — with the default
+  /// reservoir, every active member.  The sender gives exactly these their
+  /// own RTT estimator.
+  bool tracked(int i) const { return reservoir_.tracked(i); }
 
   // --- srtt aggregate -------------------------------------------------------
   /// Mirrors receiver `i`'s srtt estimate into the census (the sender calls
@@ -209,11 +208,10 @@ class TroubledCensus : public replay::Snapshotable {
   /// unless the cached holder's own estimate shrank.
   void note_srtt(int i, double srtt);
 
-  /// Largest mirrored srtt over the non-excluded members (kSampled: over
-  /// the reservoir).  With the defense's srtt clamp enabled the median/MAD
-  /// clamp of robust_clamped_max is applied first; that variant is cached
-  /// per (srtt, membership) version, so repeated pthresh evaluations of the
-  /// same census state cost O(1).
+  /// Largest mirrored srtt over the sample.  With the defense's srtt clamp
+  /// enabled the median/MAD clamp of robust_clamped_max is applied first;
+  /// that variant is cached per (srtt, membership) version, so repeated
+  /// pthresh evaluations of the same census state cost O(1).
   double srtt_max() const;
 
   // --- defense observability ----------------------------------------------
@@ -238,7 +236,7 @@ class TroubledCensus : public replay::Snapshotable {
   /// acknowledging.  No-op when `i` is already excluded.
   void force_quarantine(int i, sim::SimTime now);
 
-  /// Resident bytes of the census (SoA arrays + reservoir + scratch).
+  /// Resident bytes of the census (member columns + reservoir + scratch).
   std::size_t state_bytes() const;
 
   /// Checkpoint state: census totals plus per-receiver signal counts and
@@ -275,10 +273,9 @@ class TroubledCensus : public replay::Snapshotable {
 
   double eta_;
   CensusDefenseParams defense_{};
-  CensusSampleParams sampling_{};
   CensusCore core_;
-  SampleReservoir reservoir_;   // kSampled only
-  int last_signaller_ = -1;     // kSampled: always evaluated exactly
+  SampleReservoir reservoir_;
+  int last_signaller_ = -1;     // evaluated even when not sampled
   std::vector<int> flagged_;    // members whose troubled flag is set
   std::vector<double> interval_scratch_;  // rate_check median workspace
   int num_troubled_ = 0;

@@ -11,10 +11,7 @@ void ReceiverTable::reserve(std::size_t n) {
   una_.reserve(n);
   last_ack_at_.reserve(n);
   sb_slot_.reserve(n);
-  if (slim_)
-    est_slot_.reserve(n);
-  else
-    grouper_.reserve(n);
+  est_slot_.reserve(n);
 }
 
 int ReceiverTable::add(net::NodeId node, net::PortId port,
@@ -25,12 +22,7 @@ int ReceiverTable::add(net::NodeId node, net::PortId port,
   una_.push_back(frontier);
   last_ack_at_.push_back(now);
   sb_slot_.push_back(-1);
-  if (slim_) {
-    est_slot_.push_back(-1);
-  } else {
-    rtt_.emplace_back(rtt_params_);
-    grouper_.emplace_back();
-  }
+  est_slot_.push_back(-1);
   if (frontier_ < frontier) frontier_ = frontier;
   cmin_valid_ = false;
   rto_valid_ = false;
@@ -43,9 +35,9 @@ ReceiverTable::TrackedState& ReceiverTable::ensure_slot(int i) {
     est_slot_[ii] = static_cast<std::int32_t>(tracked_.size());
     tracked_.emplace_back(rtt_params_);
     // Seed from the shared estimate: a member promoted mid-run should not
-    // restart at the cold initial RTO.  (With reservoir >= N every member
-    // is promoted before the fallback ever sees a sample, so the copy is
-    // pristine and slim stays bit-identical to dense.)
+    // restart at the cold initial RTO.  (While every active member is
+    // tracked the fallback sees no sample and no backoff, so the copy is a
+    // fresh estimator.)
     tracked_.back().rtt = fallback_rtt_;
     tracked_ids_.push_back(i);
     rto_valid_ = false;  // i's rto source changed from fallback to its own
@@ -105,7 +97,7 @@ cc::Scoreboard& ReceiverTable::materialize(int i) {
   assert(!materialized(i));
   // A diverged receiver is interesting by definition: give it its own RTT
   // estimator alongside its board.
-  if (slim_) (void)ensure_slot(i);
+  (void)ensure_slot(i);
   int slot_id;
   if (free_slots_.empty()) {
     pool_.push_back(std::make_unique<cc::Scoreboard>());
@@ -163,25 +155,23 @@ void ReceiverTable::reset(int i, net::SeqNum next_seq) {
 }
 
 void ReceiverTable::rtt_back_off_all(const cc::TroubledCensus& census) {
-  if (slim_) {
-    for (std::size_t s = 0; s < tracked_ids_.size(); ++s)
-      if (!census.excluded(tracked_ids_[s])) tracked_[s].rtt.back_off();
-    // The fallback stands for every untracked member; none of them can be
-    // excluded individually, so it always backs off.  (Never consulted
-    // while all members are tracked.)
-    fallback_rtt_.back_off();
-    rto_valid_ = false;
-    return;
+  int tracked_active = 0;
+  for (std::size_t s = 0; s < tracked_ids_.size(); ++s) {
+    if (census.excluded(tracked_ids_[s])) continue;
+    tracked_[s].rtt.back_off();
+    ++tracked_active;
   }
-  for (std::size_t i = 0; i < rtt_.size(); ++i)
-    if (!census.excluded(static_cast<int>(i))) rtt_[i].back_off();
+  // The fallback stands for the active untracked members (none of them can
+  // be excluded individually); with none left it stays fresh for the next
+  // member tracked at join.
+  if (census.active_count() > tracked_active) fallback_rtt_.back_off();
   rto_valid_ = false;
 }
 
 void ReceiverTable::note_rto(int i) {
   if (!rto_valid_) return;
   const double v = rtt(i).rto();
-  // Untracked slim members share the fallback estimator, so the cache
+  // Untracked members share the fallback estimator, so the cache
   // holder for any of them is the fallback itself.
   const int holder = tracked(i) ? i : kFallbackHolder;
   if (v >= rto_cache_) {
@@ -263,39 +253,26 @@ sim::SimTime ReceiverTable::max_rto(const cc::TroubledCensus& census) const {
     bool any = false;
     rto_cache_ = 0.0;
     rto_holder_ = -1;
-    if (slim_) {
-      // O(tracked), not O(N): untracked members all share the fallback.
-      int tracked_active = 0;
-      for (std::size_t s = 0; s < tracked_ids_.size(); ++s) {
-        const int i = tracked_ids_[s];
-        if (census.excluded(i)) continue;
-        ++tracked_active;
-        const double v = tracked_[s].rtt.rto();
-        if (!any || v >= rto_cache_) {
-          any = true;
-          rto_cache_ = v;
-          rto_holder_ = i;
-        }
+    // O(tracked), not O(N): untracked members all share the fallback.
+    int tracked_active = 0;
+    for (std::size_t s = 0; s < tracked_ids_.size(); ++s) {
+      const int i = tracked_ids_[s];
+      if (census.excluded(i)) continue;
+      ++tracked_active;
+      const double v = tracked_[s].rtt.rto();
+      if (!any || v >= rto_cache_) {
+        any = true;
+        rto_cache_ = v;
+        rto_holder_ = i;
       }
-      // The fallback only counts while some active member is untracked —
-      // with reservoir >= N it never enters the max (bit-identity).
-      if (census.active_count() > tracked_active) {
-        const double v = fallback_rtt_.rto();
-        if (!any || v >= rto_cache_) {
-          any = true;
-          rto_cache_ = v;
-          rto_holder_ = kFallbackHolder;
-        }
-      }
-    } else {
-      for (std::size_t i = 0; i < rtt_.size(); ++i) {
-        if (census.excluded(static_cast<int>(i))) continue;
-        const double v = rtt_[i].rto();
-        if (!any || v >= rto_cache_) {
-          any = true;
-          rto_cache_ = v;
-          rto_holder_ = static_cast<int>(i);
-        }
+    }
+    // The fallback only counts while some active member is untracked.
+    if (census.active_count() > tracked_active) {
+      const double v = fallback_rtt_.rto();
+      if (!any || v >= rto_cache_) {
+        any = true;
+        rto_cache_ = v;
+        rto_holder_ = kFallbackHolder;
       }
     }
     rto_valid_ = any;
@@ -312,8 +289,6 @@ std::size_t ReceiverTable::state_bytes() const {
   b += una_.capacity() * sizeof(net::SeqNum);
   b += last_ack_at_.capacity() * sizeof(sim::SimTime);
   b += sb_slot_.capacity() * sizeof(int);
-  b += rtt_.size() * sizeof(cc::RttEstimator);
-  b += grouper_.capacity() * sizeof(cc::SignalGrouper);
   b += est_slot_.capacity() * sizeof(std::int32_t);
   b += tracked_.size() * sizeof(TrackedState);
   b += tracked_ids_.capacity() * sizeof(int);

@@ -29,21 +29,16 @@
 //   * max rto over active members — holder cache, invalidated only when the
 //     holder's own timer shrinks.
 //
-// RTT estimators live in a deque so their addresses stay stable for the
-// replay observer's per-receiver attach.
-//
-// Slim mode (the kSampled census): the per-receiver {RttEstimator,
-// SignalGrouper} pair — ~112 bytes, by far the largest remaining
-// per-receiver cost — moves into pooled slots allocated on first use, and
-// the dense row shrinks to a 4-byte slot index.  A slot is created for
-// reservoir-tracked members (the sender mirrors the census reservoir),
-// signallers (grouper access allocates), and materialized receivers; every
-// other member shares one fallback estimator that absorbs all of their RTT
-// samples, so rtt(i) of an untracked member reports the population estimate.
-// Slots are never freed.  With reservoir >= N every member is tracked from
-// its first ACK and the fallback is never consulted, so slim mode is
-// bit-identical to the dense table — the equivalence the scale property
-// tests pin.
+// The per-receiver {RttEstimator, SignalGrouper} pair — ~112 bytes, by far
+// the largest per-receiver cost — lives in pooled *tracked* slots behind a
+// 4-byte slot index.  A slot is created for the census's sampled members
+// (the sender tracks them at join), signallers (grouper access allocates),
+// and materialized receivers; slots are never freed, and they sit in a deque
+// so their addresses stay stable for the replay observer's per-receiver
+// attach.  Every other member shares one fallback estimator that absorbs
+// all of their RTT samples, so rtt(i) of an untracked member reports the
+// population estimate.  With the census's default reservoir every member is
+// tracked from its join and the fallback is never consulted.
 #pragma once
 
 #include <cstdint>
@@ -62,30 +57,23 @@ namespace rlacast::rla {
 
 class ReceiverTable {
  public:
-  explicit ReceiverTable(const cc::RttEstimatorParams& rtt_params,
-                         bool slim = false)
-      : rtt_params_(rtt_params), slim_(slim), fallback_rtt_(rtt_params) {}
+  explicit ReceiverTable(const cc::RttEstimatorParams& rtt_params)
+      : rtt_params_(rtt_params), fallback_rtt_(rtt_params) {}
 
-  /// True when the table keeps per-receiver RTT/grouper state in sparse
-  /// pooled slots (the kSampled census sender) instead of dense arrays.
-  bool slim() const { return slim_; }
-  /// True when `i` has its own RTT estimator (always, in the dense layout).
-  bool tracked(int i) const { return !slim_ || est_slot_[idx(i)] >= 0; }
-  /// Allocates `i`'s tracked slot (slim layout; no-op when dense).  The new
-  /// estimator is seeded from the shared fallback, so a member promoted
-  /// mid-run starts at the population estimate rather than cold.
-  void ensure_tracked(int i) {
-    if (slim_) (void)ensure_slot(i);
-  }
-  /// Tracked slots in use (slim; == size() when dense).
-  std::size_t tracked_count() const {
-    return slim_ ? tracked_ids_.size() : node_.size();
-  }
+  /// True when `i` has its own RTT estimator.
+  bool tracked(int i) const { return est_slot_[idx(i)] >= 0; }
+  /// Allocates `i`'s tracked slot.  The new estimator is seeded from the
+  /// shared fallback, so a member promoted mid-run starts at the population
+  /// estimate rather than cold (and a member tracked at join, while no
+  /// active member is untracked, starts fresh).
+  void ensure_tracked(int i) { (void)ensure_slot(i); }
+  /// Tracked slots in use.
+  std::size_t tracked_count() const { return tracked_ids_.size(); }
 
-  /// Reserves the dense per-receiver arrays for `n` members.  Purely a
-  /// capacity hint (no behavioral change), but state_bytes() reports
-  /// capacity, and at n = 10^4 the push_back growth overshoot would
-  /// otherwise inflate the dense rows by ~60%.
+  /// Reserves the per-receiver arrays for `n` members.  Purely a capacity
+  /// hint (no behavioral change), but state_bytes() reports capacity, and at
+  /// n = 10^4 the push_back growth overshoot would otherwise inflate the
+  /// rows by ~60%.
   void reserve(std::size_t n);
 
   /// Appends a receiver whose sequence space starts at `frontier` (late
@@ -101,22 +89,17 @@ class ReceiverTable {
   sim::SimTime last_ack_at(int i) const { return last_ack_at_[idx(i)]; }
   void note_ack(int i, sim::SimTime now) { last_ack_at_[idx(i)] = now; }
   cc::RttEstimator& rtt(int i) {
-    if (!slim_) return rtt_[idx(i)];
     const std::int32_t s = est_slot_[idx(i)];
     return s >= 0 ? tracked_[static_cast<std::size_t>(s)].rtt : fallback_rtt_;
   }
   const cc::RttEstimator& rtt(int i) const {
-    if (!slim_) return rtt_[idx(i)];
     const std::int32_t s = est_slot_[idx(i)];
     return s >= 0 ? tracked_[static_cast<std::size_t>(s)].rtt : fallback_rtt_;
   }
-  /// The receiver's signal grouper. Slim layout: allocates `i`'s tracked
-  /// slot — a receiver whose grouper is consulted is signalling, which is
-  /// exactly the set worth individual state.
-  cc::SignalGrouper& grouper(int i) {
-    if (!slim_) return grouper_[idx(i)];
-    return ensure_slot(i).grouper;
-  }
+  /// The receiver's signal grouper.  Allocates `i`'s tracked slot — a
+  /// receiver whose grouper is consulted is signalling, which is exactly the
+  /// set worth individual state.
+  cc::SignalGrouper& grouper(int i) { return ensure_slot(i).grouper; }
 
   // --- RTT mutations (routed here to keep the max-rto cache coherent) ------
   void rtt_add_sample(int i, sim::SimTime sample) {
@@ -127,7 +110,9 @@ class ReceiverTable {
     rtt(i).reset_backoff();
     note_rto(i);
   }
-  /// Timer backoff for every active member (timeout collapse); O(N), rare.
+  /// Timer backoff for every active member (timeout collapse); O(tracked),
+  /// rare.  The shared fallback only backs off while it speaks for some
+  /// active untracked member, so a later joiner never inherits a backoff.
   void rtt_back_off_all(const cc::TroubledCensus& census);
 
   // --- scoreboard facade ---------------------------------------------------
@@ -218,7 +203,7 @@ class ReceiverTable {
   std::size_t state_bytes() const;
 
  private:
-  /// Pooled per-receiver wide state of the slim layout.
+  /// Pooled per-receiver wide state of a tracked member.
   struct TrackedState {
     explicit TrackedState(const cc::RttEstimatorParams& p) : rtt(p) {}
     cc::RttEstimator rtt;
@@ -246,13 +231,10 @@ class ReceiverTable {
   std::vector<net::SeqNum> una_;  // authoritative mirror, compact or not
   std::vector<sim::SimTime> last_ack_at_;
   std::vector<int> sb_slot_;  // pool slot; -1 = compact
-  std::deque<cc::RttEstimator> rtt_;  // stable addresses (replay observer)
-  std::vector<cc::SignalGrouper> grouper_;
 
-  // Slim layout: slot index per receiver + pooled tracked state + the
-  // shared estimator absorbing every untracked member's RTT samples.
-  bool slim_ = false;
-  std::vector<std::int32_t> est_slot_;  // -1 = untracked (slim only)
+  // Slot index per receiver + pooled tracked state + the shared estimator
+  // absorbing every untracked member's RTT samples.
+  std::vector<std::int32_t> est_slot_;  // -1 = untracked
   std::deque<TrackedState> tracked_;    // stable addresses
   std::vector<int> tracked_ids_;        // receiver id per tracked_ slot
   cc::RttEstimator fallback_rtt_;

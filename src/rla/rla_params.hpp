@@ -210,8 +210,9 @@ struct RlaParams {
   /// honest-receiver model — and byte-identical to it when disabled.
   cc::CensusDefenseParams defense{};
 
-  /// Census mode and reservoir size (sublinear aggregates at large receiver
-  /// counts). The kExact default is byte-identical to the historical census.
+  /// Census reservoir size.  The default holds every member (the exact
+  /// census); a bounded reservoir makes the census aggregates sublinear at
+  /// large receiver counts.
   cc::CensusSampleParams census{};
 
   /// Liveness defense against frontier-pinning coalitions; see

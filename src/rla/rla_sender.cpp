@@ -21,8 +21,7 @@ RlaSender::RlaSender(net::Network& network, net::NodeId node, net::PortId port,
              params.max_send_overhead),
       listen_rng_(sim_.rng_stream("rla-listen-" + std::to_string(flow))),
       rto_(sim_, [this] { on_timeout(); }),
-      table_(params.rtt,
-             /*slim=*/params.census.mode == cc::CensusMode::kSampled),
+      table_(params.rtt),
       census_(params.eta, params.signal_interval_gain),
       policy_(cc::RlaPolicyParams{.forced_cut_factor = params.forced_cut_factor,
                                   .rtt_exponent = params.rtt_exponent,
@@ -51,8 +50,8 @@ RlaSender::~RlaSender() {
     obs->detach(this);
     obs->detach(&win_);
     obs->detach(&census_);
-    if (!table_.slim())
-      for (std::size_t i = 0; i < table_.size(); ++i)
+    for (std::size_t i = 0; i < table_.size(); ++i)
+      if (table_.tracked(static_cast<int>(i)))
         obs->detach(&table_.rtt(static_cast<int>(i)));
   }
 }
@@ -86,16 +85,18 @@ int RlaSender::add_receiver(net::NodeId node, net::PortId port) {
   const int census_idx = census_.add_receiver();
   (void)census_idx;
   assert(idx == census_idx && "table and census indices must stay aligned");
-  // Slim table: reservoir members get their own estimator up front so the
-  // census reads their real srtt, not the shared fallback's.
-  if (table_.slim() && census_.sampled_tracked(idx)) table_.ensure_tracked(idx);
+  // Sampled members get their own estimator up front so the census reads
+  // their real srtt, not the shared fallback's.
+  const bool tracked = census_.tracked(idx);
+  if (tracked) table_.ensure_tracked(idx);
   // Seed the census srtt mirror with the estimator's pre-sample value so
   // srtt_max over never-heard-from receivers matches the historical scan.
   census_.note_srtt(idx, table_.rtt(idx).srtt());
-  // Per-receiver estimator snapshots only exist in the dense layout; the
-  // sampled sender would otherwise attach N observers it refuses to pay
-  // memory for (the skip is mode-keyed, so record and replay agree).
-  if (!table_.slim())
+  // Per-receiver estimator snapshots for the members tracked at join — all
+  // of them at the default reservoir; a bounded one would otherwise attach
+  // N observers it refuses to pay memory for.  The set is a deterministic
+  // function of the join sequence, so record and replay agree.
+  if (tracked)
     if (replay::RunObserver* obs = sim_.observer())
       obs->attach(
           "rla-" + std::to_string(flow_) + "/rtt-" + std::to_string(idx),
@@ -223,7 +224,7 @@ void RlaSender::on_ack(const net::Packet& ack, int idx) {
     if (clean && !table_.was_retransmitted(idx, ack.seq)) {
       // A reservoir rebuild can admit a member after its add; promote it on
       // its next RTT sample so the census mirrors its own estimate.
-      if (table_.slim() && !table_.tracked(idx) && census_.sampled_tracked(idx))
+      if (!table_.tracked(idx) && census_.tracked(idx))
         table_.ensure_tracked(idx);
       table_.rtt_add_sample(idx, sim_.now() - ack.ts_echo);
       census_.note_srtt(idx, table_.rtt(idx).srtt());

@@ -62,7 +62,7 @@ class RlaSender final : public net::Agent, public replay::Snapshotable {
   ~RlaSender() override;
 
   /// Capacity hint ahead of a bulk add_receiver() loop: reserves the
-  /// receiver table and census arrays so the dense per-member rows carry no
+  /// receiver table and census arrays so the per-member rows carry no
   /// push_back growth overshoot (the scale benches report capacity bytes).
   void reserve_receivers(std::size_t n) {
     table_.reserve(n);

@@ -1,25 +1,30 @@
-// Sublinear receiver state (ISSUE 9): sampled-census equivalence and the
-// slim (sparse-slot) layouts.
+// One census at every scale: the reservoir sample, its oracles, and the
+// receiver table's tracked slots.
 //
-//   * Property: kSampled with reservoir >= N reproduces kExact decisions
-//     bit-identically — troubled flags, num_trouble_rcvr, srtt_max,
-//     min_interval and the defense state machine, step for step.  The
-//     bottom-k hash sample is the whole active membership at that size, so
-//     any divergence is a bug in the slim storage, not sampling error.
-//   * Property: at reservoir << N the num_trouble_rcvr estimate stays
-//     within a few standard errors of the exact count — relative standard
-//     error ~ sqrt((1-f)/(f*k)) for troubled fraction f (DESIGN.md).
-//   * The slim census layout only allocates wide-stat slots for reservoir
-//     members + signallers, so census memory is O(reservoir), not O(N).
-//   * rla::ReceiverTable slim mode: untracked members share the fallback
-//     RTT estimator, tracked members behave exactly like the dense table,
-//     and table memory is O(tracked), not O(N).
+//   * Property: a reservoir of exactly n (full, the bottom-k eviction path)
+//     reproduces the default unbounded reservoir (never full) bit for bit —
+//     troubled flags, num_trouble_rcvr, srtt_max, min_interval and the
+//     defense state machine, step for step.
+//   * Oracle: with the default reservoir every aggregate equals a brute-force
+//     recomputation from effective_interval, excluded() and the srtts fed
+//     in, and the tracked set is exactly the active set.
+//   * A bounded reservoir maintained incrementally equals one rebuilt from
+//     scratch over the same membership.
+//   * At reservoir << N the num_trouble_rcvr estimate stays within a few
+//     standard errors of the exact count — relative standard error
+//     ~ sqrt((1-f)/(f*k)) for troubled fraction f (DESIGN.md) — and census
+//     memory is O(reservoir + signallers), not O(N).
+//   * rla::ReceiverTable: untracked members share the fallback RTT
+//     estimator, tracked members match per-member reference estimators, a
+//     late joiner starts fresh, and table memory is O(tracked), not O(N).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <vector>
 
+#include "cc/census_core.hpp"
 #include "cc/rtt_estimator.hpp"
 #include "cc/troubled_census.hpp"
 #include "rla/receiver_table.hpp"
@@ -52,7 +57,7 @@ void expect_census_lockstep(cc::TroubledCensus& a, cc::TroubledCensus& b,
   for (int s = 0; s < steps; ++s) {
     t += 0.01;
     const int i = static_cast<int>(lcg(x) % static_cast<std::uint64_t>(n));
-    switch (lcg(x) % 8) {
+    switch (lcg(x) % 9) {
       case 0: {
         const double srtt = 0.05 + 0.001 * static_cast<double>(lcg(x) % 400);
         a.note_srtt(i, srtt);
@@ -73,6 +78,10 @@ void expect_census_lockstep(cc::TroubledCensus& a, cc::TroubledCensus& b,
         ASSERT_EQ(ra, rb);
         break;
       }
+      case 4:
+        a.readmit(i);
+        b.readmit(i);
+        break;
       default:
         a.on_signal(i, t);
         b.on_signal(i, t);
@@ -86,6 +95,7 @@ void expect_census_lockstep(cc::TroubledCensus& a, cc::TroubledCensus& b,
     for (int j = 0; j < n; ++j) {
       ASSERT_EQ(a.troubled(j), b.troubled(j)) << "rcvr " << j;
       ASSERT_EQ(a.excluded(j), b.excluded(j)) << "rcvr " << j;
+      ASSERT_EQ(a.tracked(j), b.tracked(j)) << "rcvr " << j;
       ASSERT_EQ(a.state(j), b.state(j)) << "rcvr " << j;
       ASSERT_EQ(a.strikes(j), b.strikes(j)) << "rcvr " << j;
       ASSERT_EQ(a.signals(j), b.signals(j)) << "rcvr " << j;
@@ -96,23 +106,166 @@ void expect_census_lockstep(cc::TroubledCensus& a, cc::TroubledCensus& b,
 TEST(CensusScale, SampledReservoirGeNMatchesExactBitForBit) {
   const int n = 64;
   cc::TroubledCensus exact(20.0, 0.25);
-  cc::TroubledCensus sampled(20.0, 0.25);
-  cc::CensusSampleParams sp;
-  sp.mode = cc::CensusMode::kSampled;
-  sp.reservoir = 256;  // >= n: the sample IS the membership
-  sampled.configure_sampling(sp);
-  expect_census_lockstep(exact, sampled, n, 600, /*with_defense=*/false);
+  cc::TroubledCensus full(20.0, 0.25);
+  full.configure_sampling({.reservoir = static_cast<std::size_t>(n)});
+  expect_census_lockstep(exact, full, n, 600, /*with_defense=*/false);
 }
 
 TEST(CensusScale, SampledReservoirGeNMatchesExactUnderDefense) {
   const int n = 48;
   cc::TroubledCensus exact(20.0, 0.25);
-  cc::TroubledCensus sampled(20.0, 0.25);
-  cc::CensusSampleParams sp;
-  sp.mode = cc::CensusMode::kSampled;
-  sp.reservoir = 64;
-  sampled.configure_sampling(sp);
-  expect_census_lockstep(exact, sampled, n, 600, /*with_defense=*/true);
+  cc::TroubledCensus full(20.0, 0.25);
+  full.configure_sampling({.reservoir = static_cast<std::size_t>(n)});
+  expect_census_lockstep(exact, full, n, 600, /*with_defense=*/true);
+}
+
+TEST(CensusScale, DefaultReservoirAggregatesMatchBruteForce) {
+  // The default census against a from-scratch recomputation of every
+  // aggregate: min_interval, each troubled flag, the count, and srtt_max
+  // over the srtts this test fed in.
+  const int n = 40;
+  const double eta = 20.0;
+  cc::TroubledCensus c(eta, 0.25);
+  std::vector<double> fed(n, 0.0);
+  for (int i = 0; i < n; ++i) {
+    c.add_receiver();
+    fed[static_cast<std::size_t>(i)] = 0.1 + 0.001 * i;
+    c.note_srtt(i, fed[static_cast<std::size_t>(i)]);
+  }
+  std::uint64_t x = 42;
+  double t = 1.0;
+  for (int s = 0; s < 1500; ++s) {
+    t += 0.01;
+    const int i = static_cast<int>(lcg(x) % n);
+    switch (lcg(x) % 10) {
+      case 0:
+      case 1:
+        fed[static_cast<std::size_t>(i)] =
+            0.05 + 0.001 * static_cast<double>(lcg(x) % 400);
+        c.note_srtt(i, fed[static_cast<std::size_t>(i)]);
+        break;
+      case 2:
+        c.exclude(i);
+        break;
+      case 3:
+        c.readmit(i);
+        break;
+      case 4:
+        c.force_quarantine(i, t);
+        break;
+      case 5:
+        (void)c.advance_states(t);
+        break;
+      default:
+        c.on_signal(i, t);
+        break;
+    }
+    const int got = c.recompute(t);
+
+    double min_int = -1.0;
+    double srtt_max = 0.0;
+    for (int j = 0; j < n; ++j) {
+      const double e = c.effective_interval(j, t);
+      if (e >= 0.0 && (min_int < 0.0 || e < min_int)) min_int = e;
+      if (!c.excluded(j))
+        srtt_max = std::max(srtt_max, fed[static_cast<std::size_t>(j)]);
+    }
+    ASSERT_EQ(c.min_interval(t), min_int) << "step " << s;
+    int troubled = 0;
+    for (int j = 0; j < n; ++j) {
+      const double e = c.effective_interval(j, t);
+      const bool want =
+          min_int >= 0.0 && !c.excluded(j) && e >= 0.0 && e <= eta * min_int;
+      ASSERT_EQ(c.troubled(j), want) << "step " << s << " rcvr " << j;
+      troubled += want ? 1 : 0;
+    }
+    ASSERT_EQ(got, troubled) << "step " << s;
+    ASSERT_EQ(c.num_troubled(), troubled);
+    ASSERT_EQ(c.srtt_max(), srtt_max) << "step " << s;
+  }
+}
+
+TEST(CensusScale, DefaultReservoirTracksExactlyTheActiveSet) {
+  cc::TroubledCensus c(20.0, 0.25);
+  cc::CensusDefenseParams d;
+  d.enabled = true;
+  d.min_signals = 2;
+  c.set_defense(d);
+  std::uint64_t x = 7;
+  double t = 1.0;
+  for (int s = 0; s < 3000; ++s) {
+    t += 0.05;
+    const int n = static_cast<int>(c.receiver_count());
+    const int i = n > 0 ? static_cast<int>(lcg(x) % n) : 0;
+    switch (n < 4 ? 0 : lcg(x) % 8) {
+      case 0:
+        c.add_receiver();
+        break;
+      case 1:
+        c.exclude(i);
+        break;
+      case 2:
+        c.readmit(i);
+        break;
+      case 3:
+        c.force_quarantine(i, t);
+        break;
+      case 4:
+        (void)c.advance_states(t);
+        break;
+      default:
+        // Fast signallers trip the rate defense's own quarantines.
+        c.on_signal(i % 3, t);
+        c.on_signal(i, t);
+        break;
+    }
+    int active = 0;
+    for (int j = 0; j < static_cast<int>(c.receiver_count()); ++j) {
+      ASSERT_EQ(c.tracked(j), !c.excluded(j)) << "step " << s << " rcvr " << j;
+      active += c.excluded(j) ? 0 : 1;
+    }
+    ASSERT_EQ(c.active_count(), active);
+  }
+  EXPECT_GT(c.quarantines(), 0u);
+}
+
+TEST(CensusScale, BoundedReservoirMatchesAFreshRebuild) {
+  // Incremental joins, leaves and rejoins (evictions, appends and O(N)
+  // refills) must leave the same bottom-k sample as rebuilding it from the
+  // final membership.
+  const std::size_t k = 16;
+  cc::CensusCore core(0.25);
+  cc::SampleReservoir r;
+  r.configure(k, core);
+  int active = 0;
+  std::uint64_t x = 99;
+  for (int s = 0; s < 2000; ++s) {
+    const int n = static_cast<int>(core.size());
+    const int i = n > 0 ? static_cast<int>(lcg(x) % n) : 0;
+    const auto u = static_cast<std::size_t>(i);
+    switch (n < 8 ? 0 : lcg(x) % 3) {
+      case 0:
+        r.insert(core.add(), core);
+        ++active;
+        break;
+      case 1:
+        if (core.excluded(i)) break;
+        core.state[u] = cc::MemberState::kExcluded;
+        r.erase(i, core, --active);
+        break;
+      default:
+        if (!core.excluded(i)) break;
+        core.state[u] = cc::MemberState::kActive;
+        ++active;
+        r.insert(i, core);
+        break;
+    }
+    cc::SampleReservoir fresh;
+    fresh.configure(k, core);
+    ASSERT_EQ(r.sample(), fresh.sample()) << "step " << s;
+    ASSERT_EQ(r.sample().size(), std::min(k, static_cast<std::size_t>(active)));
+    ASSERT_TRUE(std::is_sorted(r.sample().begin(), r.sample().end()));
+  }
 }
 
 TEST(CensusScale, SmallReservoirBoundsNumTroubleError) {
@@ -124,10 +277,7 @@ TEST(CensusScale, SmallReservoirBoundsNumTroubleError) {
   const double f = 0.2;
   cc::TroubledCensus exact(20.0, 0.25);
   cc::TroubledCensus sampled(20.0, 0.25);
-  cc::CensusSampleParams sp;
-  sp.mode = cc::CensusMode::kSampled;
-  sp.reservoir = static_cast<std::size_t>(k);
-  sampled.configure_sampling(sp);
+  sampled.configure_sampling({.reservoir = static_cast<std::size_t>(k)});
   for (int i = 0; i < n; ++i) {
     exact.add_receiver();
     sampled.add_receiver();
@@ -162,10 +312,7 @@ TEST(CensusScale, SlimCensusMemoryIsSublinear) {
   const int n = 20000;
   cc::TroubledCensus exact(20.0, 0.25);
   cc::TroubledCensus sampled(20.0, 0.25);
-  cc::CensusSampleParams sp;
-  sp.mode = cc::CensusMode::kSampled;
-  sp.reservoir = 128;
-  sampled.configure_sampling(sp);
+  sampled.configure_sampling({.reservoir = 128});
   for (int i = 0; i < n; ++i) {
     exact.add_receiver();
     sampled.add_receiver();
@@ -178,15 +325,16 @@ TEST(CensusScale, SlimCensusMemoryIsSublinear) {
     sampled.on_signal(i, 1.0 + i);
   }
   EXPECT_LT(sampled.state_bytes() * 4, exact.state_bytes())
-      << "slim=" << sampled.state_bytes() << " dense=" << exact.state_bytes();
+      << "sampled=" << sampled.state_bytes()
+      << " exact=" << exact.state_bytes();
 }
 
-// --- rla::ReceiverTable slim mode -----------------------------------------
+// --- rla::ReceiverTable tracked slots -------------------------------------
 
 cc::RttEstimatorParams rtt_params() { return cc::RttEstimatorParams{}; }
 
 TEST(SlimTable, UntrackedMembersShareTheFallbackEstimator) {
-  rla::ReceiverTable t(rtt_params(), /*slim=*/true);
+  rla::ReceiverTable t(rtt_params());
   for (int i = 0; i < 3; ++i) t.add(1, 10, 0, 0.0);
   EXPECT_FALSE(t.tracked(0));
   EXPECT_FALSE(t.tracked(1));
@@ -197,7 +345,7 @@ TEST(SlimTable, UntrackedMembersShareTheFallbackEstimator) {
 }
 
 TEST(SlimTable, TrackedMemberGetsItsOwnEstimatorSeededFromFallback) {
-  rla::ReceiverTable t(rtt_params(), /*slim=*/true);
+  rla::ReceiverTable t(rtt_params());
   for (int i = 0; i < 3; ++i) t.add(1, 10, 0, 0.0);
   t.rtt_add_sample(0, 0.5);  // population estimate: 0.5
   t.ensure_tracked(2);
@@ -210,7 +358,7 @@ TEST(SlimTable, TrackedMemberGetsItsOwnEstimatorSeededFromFallback) {
 }
 
 TEST(SlimTable, GrouperAccessAndMaterializeAllocateTrackedSlots) {
-  rla::ReceiverTable t(rtt_params(), /*slim=*/true);
+  rla::ReceiverTable t(rtt_params());
   for (int i = 0; i < 4; ++i) t.add(1, 10, 0, 0.0);
   (void)t.grouper(1);
   EXPECT_TRUE(t.tracked(1));
@@ -220,49 +368,90 @@ TEST(SlimTable, GrouperAccessAndMaterializeAllocateTrackedSlots) {
   EXPECT_EQ(t.tracked_count(), 2u);
 }
 
-TEST(SlimTable, AllTrackedMatchesDenseTable) {
-  // With every member tracked the slim table must agree with the dense one
-  // on every RTT aggregate — the table half of the reservoir >= N property.
+TEST(SlimTable, AllTrackedMatchesPerMemberEstimators) {
+  // With every member tracked, each estimator and the max-rto aggregate
+  // must match a test-owned cc::RttEstimator per member, through samples,
+  // backoff resets, timeout collapses, leaves, rejoins and late joins.
   cc::TroubledCensus census(20.0, 0.25);
-  rla::ReceiverTable dense(rtt_params(), /*slim=*/false);
-  rla::ReceiverTable slim(rtt_params(), /*slim=*/true);
-  const int n = 16;
-  for (int i = 0; i < n; ++i) {
-    census.add_receiver();
-    dense.add(1, 10, 0, 0.0);
-    slim.add(1, 10, 0, 0.0);
-    slim.ensure_tracked(i);
-  }
+  rla::ReceiverTable table(rtt_params());
+  std::vector<cc::RttEstimator> ref;
+  const auto join = [&] {
+    const int i = census.add_receiver();
+    table.add(1, 10, 0, 0.0);
+    table.ensure_tracked(i);
+    ref.emplace_back(rtt_params());
+  };
+  for (int i = 0; i < 16; ++i) join();
   std::uint64_t x = 123;
-  for (int s = 0; s < 400; ++s) {
-    const int i = static_cast<int>(lcg(x) % n);
-    switch (lcg(x) % 4) {
-      case 0: {
+  for (int s = 0; s < 800; ++s) {
+    const int n = static_cast<int>(ref.size());
+    const int i = static_cast<int>(lcg(x) % static_cast<std::uint64_t>(n));
+    const auto u = static_cast<std::size_t>(i);
+    switch (lcg(x) % 8) {
+      case 0:
+      case 1: {
         const double sample = 0.05 + 0.01 * static_cast<double>(lcg(x) % 50);
-        dense.rtt_add_sample(i, sample);
-        slim.rtt_add_sample(i, sample);
+        table.rtt_add_sample(i, sample);
+        ref[u].add_sample(sample);
         break;
       }
-      case 1:
-        dense.rtt_reset_backoff(i);
-        slim.rtt_reset_backoff(i);
-        break;
       case 2:
-        dense.rtt_back_off_all(census);
-        slim.rtt_back_off_all(census);
+        table.rtt_reset_backoff(i);
+        ref[u].reset_backoff();
+        break;
+      case 3:
+        table.rtt_back_off_all(census);
+        for (int j = 0; j < n; ++j)
+          if (!census.excluded(j)) ref[static_cast<std::size_t>(j)].back_off();
+        break;
+      case 4:
+        census.exclude(i);
+        break;
+      case 5:
+        census.readmit(i);
+        break;
+      case 6:
+        if (n < 48) join();
         break;
       default:
         break;
     }
-    ASSERT_EQ(dense.max_rto(census), slim.max_rto(census)) << "step " << s;
-    ASSERT_EQ(dense.rtt(i).srtt(), slim.rtt(i).srtt());
-    ASSERT_EQ(dense.rtt(i).rto(), slim.rtt(i).rto());
+    double want = 0.0;
+    for (int j = 0; j < static_cast<int>(ref.size()); ++j)
+      if (!census.excluded(j))
+        want = std::max(want, ref[static_cast<std::size_t>(j)].rto());
+    ASSERT_EQ(table.max_rto(census), want) << "step " << s;
+    for (int j = 0; j < static_cast<int>(ref.size()); ++j) {
+      ASSERT_EQ(table.rtt(j).srtt(), ref[static_cast<std::size_t>(j)].srtt());
+      ASSERT_EQ(table.rtt(j).rto(), ref[static_cast<std::size_t>(j)].rto())
+          << "step " << s << " rcvr " << j;
+    }
   }
+}
+
+TEST(SlimTable, LateJoinerStartsFreshAfterCollapses) {
+  // Two timeout collapses back off every tracked member; with no untracked
+  // active member the shared fallback must not back off with them, or a
+  // member tracked at a later join would start at initial_rto * 4.
+  cc::TroubledCensus census(20.0, 0.25);
+  rla::ReceiverTable t(rtt_params());
+  for (int i = 0; i < 2; ++i) {
+    census.add_receiver();
+    t.add(1, 10, 0, 0.0);
+    t.ensure_tracked(i);
+  }
+  t.rtt_back_off_all(census);
+  t.rtt_back_off_all(census);
+  EXPECT_DOUBLE_EQ(t.rtt(0).rto(), 4.0 * rtt_params().initial_rto);
+  census.add_receiver();
+  t.add(1, 10, 0, 1.0);
+  t.ensure_tracked(2);
+  EXPECT_DOUBLE_EQ(t.rtt(2).rto(), rtt_params().initial_rto);
 }
 
 TEST(SlimTable, MaxRtoCountsFallbackOnlyWhileUntrackedMembersExist) {
   cc::TroubledCensus census(20.0, 0.25);
-  rla::ReceiverTable t(rtt_params(), /*slim=*/true);
+  rla::ReceiverTable t(rtt_params());
   for (int i = 0; i < 3; ++i) {
     census.add_receiver();
     t.add(1, 10, 0, 0.0);
@@ -285,16 +474,17 @@ TEST(SlimTable, MaxRtoCountsFallbackOnlyWhileUntrackedMembersExist) {
 
 TEST(SlimTable, StateBytesAreSublinearInMembership) {
   const int n = 10000;
-  rla::ReceiverTable dense(rtt_params(), /*slim=*/false);
-  rla::ReceiverTable slim(rtt_params(), /*slim=*/true);
+  rla::ReceiverTable all(rtt_params());
+  rla::ReceiverTable few(rtt_params());
   for (int i = 0; i < n; ++i) {
-    dense.add(1, 10, 0, 0.0);
-    slim.add(1, 10, 0, 0.0);
+    all.add(1, 10, 0, 0.0);
+    all.ensure_tracked(i);
+    few.add(1, 10, 0, 0.0);
   }
-  for (int i = 0; i < 32; ++i) slim.ensure_tracked(i);
-  EXPECT_EQ(slim.tracked_count(), 32u);
-  EXPECT_LT(slim.state_bytes() * 3, dense.state_bytes())
-      << "slim=" << slim.state_bytes() << " dense=" << dense.state_bytes();
+  for (int i = 0; i < 32; ++i) few.ensure_tracked(i);
+  EXPECT_EQ(few.tracked_count(), 32u);
+  EXPECT_LT(few.state_bytes() * 3, all.state_bytes())
+      << "few=" << few.state_bytes() << " all=" << all.state_bytes();
 }
 
 }  // namespace

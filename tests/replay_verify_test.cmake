@@ -32,8 +32,8 @@ if(n_journals EQUAL 0)
   message(FATAL_ERROR "no journals recorded in ${WORKDIR}")
 endif()
 
-# Replay every journal: the smoke grid covers both census modes (exact and
-# sampled cases) and both gateway disciplines, and each must verify.
+# Replay every journal: the smoke grid covers both census reservoir sizes
+# (the default and 256) and both gateway disciplines, and each must verify.
 foreach(journal IN LISTS journals)
   execute_process(
     COMMAND ${BENCH} --replay ${journal}

@@ -9,7 +9,7 @@ cd "$(dirname "$0")/.."
 build=${1:-build}
 
 benches=(bench_fig7_droptail bench_fig8_signals bench_fig9_red
-         bench_fig10_rtt bench_multisession bench_workload)
+         bench_fig10_rtt bench_multisession bench_workload bench_robustness)
 for b in "${benches[@]}"; do
   bin="$build/bench/$b"
   if [[ ! -x "$bin" ]]; then
