@@ -9,8 +9,8 @@
 #pragma once
 
 #include "net/packet.hpp"
-#include "net/packet_ring.hpp"
 #include "sim/random.hpp"
+#include "sim/ring.hpp"
 #include "sim/simulator.hpp"
 
 namespace rlacast::net {
@@ -30,11 +30,12 @@ class Agent {
 /// With max_overhead > 0 each packet waits Uniform(0, max_overhead) of
 /// "processing time"; departures remain in FIFO order.
 ///
-/// Pending packets wait in a ring owned by the pacer; each departure event
-/// is a thin callback that pops the ring (no Packet captured in the
-/// closure, no allocation on the send path).  Departure times are
-/// monotonic by construction and the scheduler is FIFO among equal
-/// timestamps, so pops always match the packet their event was armed for.
+/// Pending packets wait in a ring owned by the pacer, each with the
+/// (departure time, sequence number) reserved when it was sent; only the
+/// head's departure is armed, as a thin callback that pops the ring (no
+/// Packet captured in the closure, no allocation on the send path).
+/// Departure keys increase in both components by construction, so each
+/// departure dispatches under the key an event of its own would have had.
 class SendPacer {
  public:
   SendPacer(sim::Simulator& sim, Network& network, sim::Rng rng,
@@ -51,7 +52,13 @@ class SendPacer {
   void send(const Packet& p);
 
  private:
-  void inject(const Packet& p);
+  struct Pending {
+    Packet pkt;
+    sim::SimTime at = 0.0;
+    std::uint64_t seq = 0;
+  };
+
+  void arm_head();
   void depart();
 
   sim::Simulator& sim_;
@@ -59,7 +66,7 @@ class SendPacer {
   sim::Rng rng_;
   sim::SimTime max_overhead_;
   sim::SimTime last_departure_ = 0.0;
-  PacketRing pending_;
+  sim::Ring<Pending> pending_;
 };
 
 }  // namespace rlacast::net

@@ -6,8 +6,8 @@
 // overhead when operating across drop-tail gateways.
 #pragma once
 
-#include "net/packet_ring.hpp"
 #include "net/queue.hpp"
+#include "sim/ring.hpp"
 
 namespace rlacast::net {
 
@@ -34,7 +34,7 @@ class DropTailQueue final : public Queue {
   std::size_t capacity_;
   std::int32_t slot_bytes_;
   std::int64_t bytes_ = 0;
-  PacketRing q_;
+  sim::Ring<Packet> q_;
 };
 
 }  // namespace rlacast::net

@@ -82,12 +82,8 @@ void Link::on_serialized() {
   if (fault_ == nullptr) {
     ++delivered_;
     bytes_delivered_ += static_cast<std::uint64_t>(tx_pkt_.size_bytes);
-    pipe_.push_back(std::move(tx_pkt_));
+    launch(std::move(tx_pkt_), sim_.now() + delay_);
     inflight_hiwater_ = std::max(inflight_hiwater_, in_flight());
-    auto arrive = [this] { on_propagated(); };
-    static_assert(sim::SmallCallback::fits_inline<decltype(arrive)>(),
-                  "link pipeline events must use the inline callback path");
-    sim_.after(delay_, std::move(arrive));
     pump();
     return;
   }
@@ -109,24 +105,35 @@ void Link::on_serialized() {
   sim::SimTime arrive_at = sim_.now() + delay_ + jitter;
   if (arrive_at < last_arrival_) arrive_at = last_arrival_;
   last_arrival_ = arrive_at;
-  auto arrive = [this] { on_propagated(); };
-  static_assert(sim::SmallCallback::fits_inline<decltype(arrive)>(),
-                "link pipeline events must use the inline callback path");
   if (v.duplicated) {
     ++fault_duplicates_;
     ++sim_.scheduler().counters_mut().fault_duplicates;
-    pipe_.push_back(tx_pkt_);  // the extra copy; original follows below
-    sim_.at(arrive_at, arrive);
+    launch(tx_pkt_, arrive_at);  // the extra copy; original follows below
   }
-  pipe_.push_back(std::move(tx_pkt_));
+  launch(std::move(tx_pkt_), arrive_at);
   inflight_hiwater_ = std::max(inflight_hiwater_, in_flight());
-  sim_.at(arrive_at, std::move(arrive));
   pump();
 }
 
+void Link::launch(Packet p, sim::SimTime at) {
+  const std::uint64_t seq = sim_.scheduler().take_seq();
+  pipe_.push_back(InFlight{std::move(p), at, seq});
+  if (pipe_.size() == 1) arm_head();
+}
+
+void Link::arm_head() {
+  const InFlight& head = pipe_.front();
+  auto arrive = [this] { on_propagated(); };
+  static_assert(sim::SmallCallback::fits_inline<decltype(arrive)>(),
+                "link pipeline events must use the inline callback path");
+  sim_.scheduler().schedule_at_seq(head.at, head.seq, std::move(arrive));
+}
+
 void Link::on_propagated() {
-  // Pop before delivering: delivery may re-entrantly transmit on this link.
-  const Packet p = pipe_.pop_front();
+  // Pop, and arm the next arrival, before delivering: delivery may
+  // re-entrantly transmit on this link.
+  const Packet p = pipe_.pop_front().pkt;
+  if (!pipe_.empty()) arm_head();
   network_.deliver(to_, p);
 }
 

@@ -8,11 +8,16 @@
 //    pipelined, serialization is not).
 //
 // In-flight packets — the one being serialized and those in the propagation
-// pipe — live in a small ring owned by the link; the two pipeline events per
-// hop (serialization end, propagation end) are thin callbacks referencing
-// the link, so pumping a packet performs zero heap allocations and copies no
+// pipe — live in a small ring owned by the link; the pipeline events per hop
+// (serialization end, propagation end) are thin callbacks referencing the
+// link, so pumping a packet performs zero heap allocations and copies no
 // Packet into closures.  Propagation delay is a per-link constant and
 // serialization ends are strictly ordered, so deliveries pop the ring FIFO.
+// Each pipe entry keeps the (arrival time, sequence number) it reserved at
+// serialization end, and only the head's arrival is armed in the scheduler:
+// the link holds at most two events (serializer, pipe head) however many
+// packets are on the wire, and each arrival still dispatches under the key
+// an event of its own would have had.
 //
 // Note on buffer semantics: the packet currently being serialized has left
 // the queue, so a queue capacity of B packets admits B+1 packets on the hop.
@@ -25,8 +30,8 @@
 #include <memory>
 
 #include "net/packet.hpp"
-#include "net/packet_ring.hpp"
 #include "net/queue.hpp"
+#include "sim/ring.hpp"
 #include "sim/simulator.hpp"
 
 namespace rlacast::net {
@@ -107,7 +112,9 @@ class Link : public replay::Snapshotable {
   std::size_t in_flight_hiwater() const { return inflight_hiwater_; }
 
   /// Installs (or clears, with nullptr) the fault-injection hook. The hook
-  /// must outlive the link or be cleared before it dies.
+  /// must outlive the link or be cleared before it dies; install it before
+  /// traffic flows (a jittered arrival must never be overtaken by a later
+  /// pristine one — the pipe delivers in order).
   void set_fault_hook(LinkFaultHook* hook) { fault_ = hook; }
   const LinkFaultHook* fault_hook() const { return fault_; }
 
@@ -136,8 +143,20 @@ class Link : public replay::Snapshotable {
   replay::Snapshot snapshot_state() const override;
 
  private:
+  /// A serialized packet on its propagation leg, with the dispatch key its
+  /// arrival reserved at serialization end.
+  struct InFlight {
+    Packet pkt;
+    sim::SimTime at = 0.0;
+    std::uint64_t seq = 0;
+  };
+
   void pump();
   void on_serialized();
+  /// Appends a serialized packet arriving at `at`, reserving its arrival's
+  /// sequence number now; arms it if it is the pipe's head.
+  void launch(Packet p, sim::SimTime at);
+  void arm_head();
   void on_propagated();
 
   sim::Simulator& sim_;
@@ -149,7 +168,7 @@ class Link : public replay::Snapshotable {
   std::unique_ptr<Queue> queue_;
   bool busy_ = false;
   Packet tx_pkt_;      // the packet being serialized (valid while busy_)
-  PacketRing pipe_;    // serialized packets still propagating, FIFO
+  sim::Ring<InFlight> pipe_;  // serialized packets still propagating, FIFO
   std::size_t inflight_hiwater_ = 0;
   std::uint64_t delivered_ = 0;
   std::uint64_t bytes_delivered_ = 0;

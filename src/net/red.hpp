@@ -22,9 +22,9 @@
 // The paper's runs use min_th = 5, max_th = 15 with a physical buffer of 20.
 #pragma once
 
-#include "net/packet_ring.hpp"
 #include "net/queue.hpp"
 #include "sim/random.hpp"
+#include "sim/ring.hpp"
 
 namespace rlacast::net {
 
@@ -99,7 +99,7 @@ class RedQueue final : public Queue {
 
   RedParams params_;
   sim::Rng rng_;
-  PacketRing q_;
+  sim::Ring<Packet> q_;
   std::int64_t bytes_ = 0;
   double avg_ = 0.0;
   std::int64_t count_ = -1;  // packets since last early drop; -1 = below min

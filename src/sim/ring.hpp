@@ -1,13 +1,13 @@
-// PacketRing: a growable FIFO ring of packets owned by the component whose
-// pipeline they are traversing (a Link's in-flight window, a SendPacer's
-// pending queue).
+// Ring<T>: a growable FIFO ring owned by the component whose pipeline its
+// elements are traversing — a Link's in-flight window, a SendPacer's pending
+// departures, a queue's backlog, a SACK scoreboard's per-packet flags.
 //
 // The point is allocation behaviour: scheduled events reference the owning
 // component (`this`) and pop from its ring, instead of capturing ~150-byte
 // Packet copies inside chained closures.  The ring grows geometrically to
 // the pipeline's natural depth (bandwidth-delay product of the hop, burst
-// depth of the pacer) and then recycles storage forever — steady-state
-// traffic performs zero heap allocations.
+// depth of the pacer, the sender's window) and then recycles storage
+// forever — steady-state traffic performs zero heap allocations.
 #pragma once
 
 #include <cassert>
@@ -15,44 +15,49 @@
 #include <utility>
 #include <vector>
 
-#include "net/packet.hpp"
+namespace rlacast::sim {
 
-namespace rlacast::net {
-
-class PacketRing {
+template <typename T>
+class Ring {
  public:
   bool empty() const { return count_ == 0; }
   std::size_t size() const { return count_; }
   std::size_t capacity() const { return buf_.size(); }
 
-  /// Deepest simultaneous occupancy seen (per-link in-flight high-water).
-  std::size_t hiwater() const { return hiwater_; }
-
-  Packet& front() {
+  T& front() {
     assert(count_ > 0);
     return buf_[head_];
   }
 
-  void push_back(Packet p) {
-    if (count_ == buf_.size()) grow();
-    buf_[(head_ + count_) & (buf_.size() - 1)] = std::move(p);
-    ++count_;
-    if (count_ > hiwater_) hiwater_ = count_;
+  /// The i-th oldest element (0 = front).
+  T& operator[](std::size_t i) {
+    assert(i < count_);
+    return buf_[(head_ + i) & (buf_.size() - 1)];
+  }
+  const T& operator[](std::size_t i) const {
+    assert(i < count_);
+    return buf_[(head_ + i) & (buf_.size() - 1)];
   }
 
-  /// Removes and returns the oldest packet.
-  Packet pop_front() {
+  void push_back(T v) {
+    if (count_ == buf_.size()) grow();
+    buf_[(head_ + count_) & (buf_.size() - 1)] = std::move(v);
+    ++count_;
+  }
+
+  /// Removes and returns the oldest element.
+  T pop_front() {
     assert(count_ > 0);
-    Packet p = std::move(buf_[head_]);
+    T v = std::move(buf_[head_]);
     head_ = (head_ + 1) & (buf_.size() - 1);
     --count_;
-    return p;
+    return v;
   }
 
  private:
   void grow() {
     const std::size_t cap = buf_.empty() ? 4 : buf_.size() * 2;
-    std::vector<Packet> next(cap);
+    std::vector<T> next(cap);
     for (std::size_t i = 0; i < count_; ++i)
       next[i] = std::move(buf_[(head_ + i) & (buf_.size() - 1)]);
     buf_ = std::move(next);
@@ -60,10 +65,9 @@ class PacketRing {
   }
 
   // Power-of-two capacity so the index wrap is a mask.
-  std::vector<Packet> buf_;
+  std::vector<T> buf_;
   std::size_t head_ = 0;
   std::size_t count_ = 0;
-  std::size_t hiwater_ = 0;
 };
 
-}  // namespace rlacast::net
+}  // namespace rlacast::sim

@@ -1,10 +1,29 @@
 #include "sim/scheduler.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <utility>
 
 namespace rlacast::sim {
+
+namespace {
+
+using Key = unsigned __int128;
+
+/// IEEE-754 bits of a non-negative time; these order like the values.
+/// Adding +0.0 folds -0.0 (whose sign bit would sort it last) into +0.0.
+std::uint64_t time_bits(SimTime t) {
+  return std::bit_cast<std::uint64_t>(t + 0.0);
+}
+
+/// The heap order: (time_bits, seq) as one unsigned 128-bit integer, so a
+/// comparison is a single branch-free wide compare.
+Key key_of(std::uint64_t bits, std::uint64_t seq) {
+  return (static_cast<Key>(bits) << 64) | seq;
+}
+
+}  // namespace
 
 bool Scheduler::decode_live(EventId id, std::uint32_t& slot) const {
   if (id == kInvalidEventId) return false;
@@ -16,54 +35,71 @@ bool Scheduler::decode_live(EventId id, std::uint32_t& slot) const {
          static_cast<bool>(s.cb);
 }
 
-void Scheduler::heap_push(SimTime at, std::uint32_t slot, std::uint32_t gen) {
-  // Manual sift-up on the trivially-copyable key; cheaper than
-  // std::push_heap's iterator machinery and allocation-free once the vector
-  // has warmed up.
-  heap_.push_back(HeapEntry{at, next_seq_++, slot, gen});
-  std::size_t i = heap_.size() - 1;
+// 4-ary heap over key_of(), moved by hole rather than by swaps.  Keys are
+// unique (sequence numbers are), so no comparison ever ties.
+
+void Scheduler::sift_up(std::size_t i, HeapEntry e) {
+  const Key k = key_of(e.time_bits, e.seq);
   while (i > 0) {
-    const std::size_t parent = (i - 1) / 2;
+    const std::size_t parent = (i - 1) / 4;
     const HeapEntry& p = heap_[parent];
-    const HeapEntry& c = heap_[i];
-    if (p.at < c.at || (p.at == c.at && p.seq < c.seq)) break;
-    std::swap(heap_[parent], heap_[i]);
+    if (key_of(p.time_bits, p.seq) < k) break;
+    heap_[i] = p;
     i = parent;
   }
+  heap_[i] = e;
+}
+
+void Scheduler::sift_down(std::size_t i, HeapEntry e) {
+  const Key k = key_of(e.time_bits, e.seq);
+  const std::size_t n = heap_.size();
+  while (true) {
+    const std::size_t first = 4 * i + 1;
+    if (first >= n) break;
+    const std::size_t last = std::min(first + 4, n);
+    std::size_t best = first;
+    Key best_key = key_of(heap_[first].time_bits, heap_[first].seq);
+    for (std::size_t c = first + 1; c < last; ++c) {
+      const Key ck = key_of(heap_[c].time_bits, heap_[c].seq);
+      const bool less = ck < best_key;
+      best = less ? c : best;
+      best_key = less ? ck : best_key;
+    }
+    if (k < best_key) break;
+    heap_[i] = heap_[best];
+    i = best;
+  }
+  heap_[i] = e;
+}
+
+void Scheduler::heap_push(std::uint32_t slot) {
+  Slot& s = slots_[slot];
+  s.queued_at = s.at;
+  s.queued_seq = s.seq;
+  heap_.emplace_back();
+  sift_up(heap_.size() - 1, HeapEntry{time_bits(s.at), s.seq, slot});
   counters_.heap_hiwater = std::max(counters_.heap_hiwater, heap_.size());
 }
 
 void Scheduler::heap_pop() {
   assert(!heap_.empty());
-  heap_[0] = heap_.back();
+  const HeapEntry last = heap_.back();
   heap_.pop_back();
-  const std::size_t n = heap_.size();
-  std::size_t i = 0;
-  while (true) {
-    const std::size_t l = 2 * i + 1;
-    if (l >= n) break;
-    const std::size_t r = l + 1;
-    std::size_t first = l;
-    if (r < n && (heap_[r].at < heap_[l].at ||
-                  (heap_[r].at == heap_[l].at && heap_[r].seq < heap_[l].seq)))
-      first = r;
-    if (heap_[i].at < heap_[first].at ||
-        (heap_[i].at == heap_[first].at && heap_[i].seq < heap_[first].seq))
-      break;
-    std::swap(heap_[i], heap_[first]);
-    i = first;
-  }
+  if (!heap_.empty()) sift_down(0, last);
 }
 
 void Scheduler::release_slot(std::uint32_t slot) {
   Slot& s = slots_[slot];
-  ++s.gen;  // kills outstanding ids and stale heap entries for this slot
+  ++s.gen;  // kills outstanding ids for this slot
+  s.queued_seq = 0;  // and orphans its heap entry
   s.next_free = free_head_;
   free_head_ = slot;
 }
 
-EventId Scheduler::schedule_at(SimTime at, Callback cb) {
+EventId Scheduler::schedule_at_seq(SimTime at, std::uint64_t seq,
+                                   Callback cb) {
   assert(at >= now_ && "cannot schedule into the past");
+  assert(seq != 0 && seq < next_seq_ && "sequence number not from take_seq");
   assert(cb && "scheduling an empty callback");
   std::uint32_t slot;
   if (free_head_ != kNoFree) {
@@ -77,7 +113,9 @@ EventId Scheduler::schedule_at(SimTime at, Callback cb) {
   Slot& s = slots_[slot];
   if (cb.on_heap()) ++counters_.callback_heap_fallbacks;
   s.cb = std::move(cb);
-  heap_push(at, slot, s.gen);
+  s.at = at;
+  s.seq = seq;
+  heap_push(slot);
   ++live_events_;
   ++counters_.scheduled;
   counters_.slab_live_hiwater =
@@ -89,13 +127,18 @@ EventId Scheduler::reschedule_at(EventId id, SimTime at) {
   assert(at >= now_ && "cannot schedule into the past");
   std::uint32_t slot;
   if (!decode_live(id, slot)) return kInvalidEventId;
-  // Retarget in place: the callback stays put; the generation bump orphans
-  // the old heap entry (skimmed lazily) and a fresh key carries the new
-  // (time, sequence) — so a rescheduled event orders exactly as if it had
-  // been cancelled and rescheduled, without touching the callback or slab.
+  // Retarget in place: the callback stays put and a fresh (time, sequence)
+  // key is taken — so a rescheduled event orders exactly as if it had been
+  // cancelled and rescheduled.  The generation bump retires the old id.
   Slot& s = slots_[slot];
   ++s.gen;
-  heap_push(at, slot, s.gen);
+  s.at = at;
+  s.seq = take_seq();
+  // The fresh sequence number exceeds the queued entry's, so a time no
+  // earlier than the entry's leaves the entry a lower bound on the key:
+  // skim() re-queues it under the new key when it surfaces.  An earlier
+  // time needs an entry of its own; the old one is orphaned by it.
+  if (at < s.queued_at) heap_push(slot);
   ++counters_.rescheduled;
   return pack(slot, s.gen);
 }
@@ -110,7 +153,7 @@ void Scheduler::cancel(EventId id) {
   release_slot(slot);
   --live_events_;
   ++counters_.cancelled;
-  // Tidy: drop stale keys that already surfaced, and empty the heap outright
+  // Tidy: drop dead keys that already surfaced, and empty the heap outright
   // when nothing live remains — a fully-cancelled scheduler reports
   // empty()/next_time() == kNever without a dispatch attempt.
   if (live_events_ == 0)
@@ -120,29 +163,40 @@ void Scheduler::cancel(EventId id) {
 }
 
 void Scheduler::skim() const {
+  auto* self = const_cast<Scheduler*>(this);
   while (!heap_.empty()) {
-    const HeapEntry& top = heap_[0];
-    if (slots_[top.slot].gen == top.gen) return;
-    const_cast<Scheduler*>(this)->heap_pop();
+    const HeapEntry top = heap_[0];
+    Slot& s = self->slots_[top.slot];
+    if (s.queued_seq != top.seq) {
+      self->heap_pop();  // dead: its slot was freed or re-queued since
+    } else if (s.seq != top.seq) {
+      // Retargeted later while queued: re-queue under the recorded key.
+      s.queued_at = s.at;
+      s.queued_seq = s.seq;
+      self->sift_down(0, HeapEntry{time_bits(s.at), s.seq, top.slot});
+    } else {
+      return;
+    }
   }
 }
 
 SimTime Scheduler::next_time() const {
   skim();
-  return heap_.empty() ? kNever : heap_[0].at;
+  return heap_.empty() ? kNever : slots_[heap_[0].slot].at;
 }
 
 bool Scheduler::run_one() {
   skim();
   if (heap_.empty()) return false;
-  const HeapEntry top = heap_[0];
+  const std::uint32_t slot = heap_[0].slot;
   heap_pop();
   // Move the callback out and free the slot before invoking, so re-entrant
   // scheduling from the callback (which may reuse this very slot) is safe.
-  Callback cb = std::move(slots_[top.slot].cb);  // leaves the slot empty
-  release_slot(top.slot);
+  Slot& s = slots_[slot];
+  now_ = s.at;
+  Callback cb = std::move(s.cb);  // leaves the slot empty
+  release_slot(slot);
   --live_events_;
-  now_ = top.at;
   ++counters_.dispatched;
   if (observer_ != nullptr) observer_->on_dispatch(counters_.dispatched, now_);
   cb();

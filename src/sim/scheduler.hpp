@@ -4,20 +4,31 @@
 // holding its callback in-line (see SmallCallback), and the EventId handed
 // back at scheduling time packs (slot index, generation).  Cancellation is
 // O(1) — bump the slot's generation, free the slot — with no hashing and no
-// per-event container churn; the stale heap entry is skimmed lazily when it
+// per-event container churn; the dead heap entry is skimmed lazily when it
 // surfaces.  Scheduling a typical event (timer re-arm, link pipeline leg)
 // performs zero heap allocations.
 //
-// Dispatch order is a binary min-heap of (time, sequence) keys.  The
-// sequence number makes ordering of simultaneous events deterministic (FIFO
-// within a timestamp), which in turn makes every simulation in this
-// repository exactly reproducible for a given seed.  reschedule_at()
-// retargets a pending event in place — the callback stays in its slot; only
-// a fresh (time, sequence) key is pushed — which is what makes TCP-style
-// "restart the rexmit timer on every ACK" churn cheap.
+// Every event has a (time, sequence) dispatch key.  The sequence number
+// makes ordering of simultaneous events deterministic (FIFO within a
+// timestamp), which in turn makes every simulation in this repository
+// exactly reproducible for a given seed.  Keys live in a 4-ary min-heap
+// that holds about one entry per event *source*, not per event:
+//  * FIFO sources (a link's propagation pipe, a pacer's departures) reserve
+//    each packet's sequence number with take_seq() when the packet enters
+//    the FIFO, keep (time, seq) beside it, and arm only the head with
+//    schedule_at_seq() — the dispatch keys are exactly those an event per
+//    packet would have had;
+//  * reschedule_at() moving an event no earlier than its queued heap entry
+//    only records the new key in the slot; the entry is re-queued under it
+//    when it reaches the top.  That is what makes TCP-style "restart the
+//    rexmit timer on every ACK" churn cost no heap operation at all.
+// A heap entry is identified by (slot, seq): it stands for its slot only
+// while the slot's queued sequence number matches, so entries orphaned by
+// cancels, earlier-time retargets and slot reuse are recognised on sight.
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "replay/snapshot.hpp"
@@ -42,13 +53,33 @@ class Scheduler : public replay::Snapshotable {
   using Callback = SmallCallback;
 
   /// Schedules `cb` to run at absolute time `at`. `at` must be >= now().
-  EventId schedule_at(SimTime at, Callback cb);
+  /// Equivalent to schedule_at_seq(at, take_seq(), cb).
+  EventId schedule_at(SimTime at, Callback cb) {
+    return schedule_at_seq(at, take_seq(), std::move(cb));
+  }
+
+  /// Reserves the next dispatch sequence number without scheduling
+  /// anything.  A FIFO event source calls this where it would otherwise
+  /// schedule one event per element, keeps the number beside the element,
+  /// and arms only its head (schedule_at_seq) — so the source holds one
+  /// heap entry, and every element still dispatches under the key it would
+  /// have had with an event of its own.
+  std::uint64_t take_seq() { return next_seq_++; }
+
+  /// Schedules `cb` under the key (at, seq), where `seq` came from
+  /// take_seq() and has not been used.  The key must order after the event
+  /// being dispatched (at >= now(); a FIFO source's keys increase in both
+  /// components).
+  EventId schedule_at_seq(SimTime at, std::uint64_t seq, Callback cb);
 
   /// Retargets a pending event to fire at `at` instead, keeping its stored
-  /// callback (no destroy/reconstruct, no slot churn).  Returns the event's
-  /// new id; returns kInvalidEventId — scheduling nothing — when `id` is no
-  /// longer live (already fired or cancelled), in which case the caller
-  /// schedules afresh.
+  /// callback (no destroy/reconstruct, no slot churn).  The event takes a
+  /// fresh sequence number, exactly as if it were cancelled and scheduled
+  /// anew.  Returns the event's new id (the old id dies); returns
+  /// kInvalidEventId — scheduling nothing — when `id` is no longer live
+  /// (already fired or cancelled), in which case the caller schedules
+  /// afresh.  A retarget to a time not earlier than the event's queued heap
+  /// entry touches no heap; an earlier one pushes a new entry.
   EventId reschedule_at(EventId id, SimTime at);
 
   /// Cancels a pending event. Cancelling an already-fired or already-
@@ -65,7 +96,8 @@ class Scheduler : public replay::Snapshotable {
   SimTime now() const { return now_; }
 
   /// Timestamp of the next runnable event; kNever if none.  Logically const:
-  /// may lazily discard cancelled entries from the internal heap.
+  /// may lazily discard dead entries from the internal heap and re-queue
+  /// retargeted ones.
   SimTime next_time() const;
 
   /// Dispatches the next event. Returns false if none remain.
@@ -105,20 +137,25 @@ class Scheduler : public replay::Snapshotable {
   replay::Snapshot snapshot_state() const override;
 
  private:
-  /// Heap key + slab reference. 24 bytes, trivially copyable: sift-up and
-  /// sift-down move no callbacks.
+  /// Heap key + slab reference. Trivially copyable: sifts move no
+  /// callbacks.  `time_bits` is the IEEE-754 pattern of the (non-negative)
+  /// time, so (time_bits, seq) orders exactly like (time, seq) and compares
+  /// as one unsigned 128-bit integer.
   struct HeapEntry {
-    SimTime at;
-    std::uint64_t seq;   // FIFO tie-break among equal timestamps
+    std::uint64_t time_bits;
+    std::uint64_t seq;  // FIFO tie-break among equal timestamps
     std::uint32_t slot;
-    std::uint32_t gen;   // stale when != slots_[slot].gen
   };
 
-  /// One slab slot: the callback lives here; `gen` advances on every disarm
-  /// (fire, cancel, or in-place retarget) so outstanding ids and heap
-  /// entries referring to the old incarnation die.
+  /// One slab slot: the callback and the event's dispatch key live here.
+  /// `gen` advances on every disarm (fire, cancel) and retarget so
+  /// outstanding ids referring to the old incarnation die.
   struct Slot {
     Callback cb;
+    SimTime at = 0.0;           // the event's key
+    std::uint64_t seq = 0;
+    SimTime queued_at = 0.0;    // key of the heap entry standing for it;
+    std::uint64_t queued_seq = 0;  // 0 while the slot is free
     std::uint32_t gen = 0;
     std::uint32_t next_free = kNoFree;  // free-list link while unarmed
   };
@@ -133,18 +170,23 @@ class Scheduler : public replay::Snapshotable {
   /// True and decoded when `id` refers to a currently-armed event.
   bool decode_live(EventId id, std::uint32_t& slot) const;
 
-  void heap_push(SimTime at, std::uint32_t slot, std::uint32_t gen);
+  /// Queues a heap entry standing for `slot` under the slot's current key.
+  void heap_push(std::uint32_t slot);
   void heap_pop();
+  void sift_up(std::size_t i, HeapEntry e);
+  void sift_down(std::size_t i, HeapEntry e);
 
-  /// Discards cancelled entries off the heap top. Mutates only caches
-  /// (the heap), hence callable from const queries.
+  /// Settles the heap top: discards dead entries and re-queues entries
+  /// whose slot was retargeted later, until the top is an event due under
+  /// exactly its key (or the heap is empty).  Mutates only the heap, hence
+  /// callable from const queries.
   void skim() const;
 
   /// Returns `slot` to the free list after bumping its generation.
   void release_slot(std::uint32_t slot);
 
-  // The heap is storage for *keys*; stale entries are cache garbage skimmed
-  // lazily, so const queries may shrink it.
+  // The heap is storage for *keys*; dead entries are cache garbage skimmed
+  // lazily, so const queries may reshape it.
   mutable std::vector<HeapEntry> heap_;
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNoFree;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -161,15 +162,37 @@ TEST(Scheduler, RescheduleRetargetsInPlace) {
   Scheduler s;
   std::vector<int> order;
   const EventId id = s.schedule_at(5.0, [&] { order.push_back(1); });
-  const EventId id2 = s.reschedule_at(id, 1.0);
+  const EventId id2 = s.reschedule_at(id, 1.0);  // earlier: a new heap key
   ASSERT_NE(id2, kInvalidEventId);
   EXPECT_NE(id2, id);
+  const EventId id3 = s.reschedule_at(id2, 3.0);  // later: no heap key
+  ASSERT_NE(id3, kInvalidEventId);
+  EXPECT_NE(id3, id2);
   s.schedule_at(2.0, [&] { order.push_back(2); });
-  s.cancel(id);  // the pre-reschedule id is stale; must be a no-op
+  // Both pre-reschedule ids are stale, including the one a later-time
+  // retarget retired without touching the heap; cancelling them is a no-op.
+  s.cancel(id);
+  s.cancel(id2);
+  EXPECT_EQ(s.pending(), 2u);
+  EXPECT_EQ(s.counters().heap_hiwater, 3u);
   s.run_all();
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
-  EXPECT_DOUBLE_EQ(s.now(), 2.0);
+  EXPECT_EQ(order, (std::vector<int>{2, 1}));
+  EXPECT_DOUBLE_EQ(s.now(), 3.0);
   EXPECT_EQ(s.dispatched(), 2u);
+}
+
+TEST(Scheduler, ReservedSequenceOrdersAsOfTheReservation) {
+  // A key reserved with take_seq() orders among simultaneous events as if
+  // the event had been scheduled at the moment of the reservation.
+  Scheduler s;
+  std::vector<int> order;
+  const std::uint64_t early = s.take_seq();
+  s.schedule_at(1.0, [&] { order.push_back(2); });
+  const std::uint64_t late = s.take_seq();
+  s.schedule_at_seq(1.0, late, [&] { order.push_back(3); });
+  s.schedule_at_seq(1.0, early, [&] { order.push_back(1); });
+  s.run_all();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
 TEST(Scheduler, RescheduleOrdersLikeCancelPlusReschedule) {
@@ -201,7 +224,9 @@ TEST(Scheduler, RescheduleOfDeadIdReturnsInvalid) {
 // Randomized differential test: the slab scheduler against a naive reference
 // that keeps every event in a flat vector and linearly scans for the minimum
 // (time, sequence) key.  Timestamps are quantized so simultaneous events are
-// common and the FIFO tie-break is genuinely exercised.
+// common and the FIFO tie-break is genuinely exercised.  Sequence numbers
+// reserved with take_seq() are spent later, in random order, through
+// schedule_at_seq(), as the FIFO event sources spend them.
 TEST(Scheduler, RandomizedStressMatchesNaiveReference) {
   struct RefEvent {
     SimTime at;
@@ -217,6 +242,8 @@ TEST(Scheduler, RandomizedStressMatchesNaiveReference) {
   // events that already fired — exactly the staleness cancel/reschedule
   // must tolerate.
   std::vector<std::pair<EventId, std::size_t>> handles;
+  // Reserved and not yet spent: (scheduler sequence, reference sequence).
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> reserved;
   std::uint64_t ref_seq = 1;
   int next_marker = 0;
 
@@ -236,13 +263,27 @@ TEST(Scheduler, RandomizedStressMatchesNaiveReference) {
 
   for (int op = 0; op < 20000; ++op) {
     const double r = rng.uniform();
-    if (r < 0.50) {
+    if (r < 0.40) {
       const SimTime at = s.now() + 0.5 * rng.uniform_int(0, 8);
       const int m = next_marker++;
       const EventId id =
           s.schedule_at(at, [&real_order, m] { real_order.push_back(m); });
       handles.emplace_back(id, ref.size());
       ref.push_back({at, ref_seq++, m, true});
+    } else if (r < 0.45) {
+      reserved.emplace_back(s.take_seq(), ref_seq++);
+    } else if (r < 0.52 && !reserved.empty()) {
+      // Spend a reservation strictly in the future, so its key orders after
+      // everything already dispatched.
+      const auto k = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(reserved.size()) - 1));
+      const SimTime at = s.now() + 0.5 * rng.uniform_int(1, 8);
+      const int m = next_marker++;
+      const EventId id = s.schedule_at_seq(
+          at, reserved[k].first, [&real_order, m] { real_order.push_back(m); });
+      handles.emplace_back(id, ref.size());
+      ref.push_back({at, reserved[k].second, m, true});
+      reserved.erase(reserved.begin() + static_cast<std::ptrdiff_t>(k));
     } else if (r < 0.65 && !handles.empty()) {
       const auto k = static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(handles.size()) - 1));
