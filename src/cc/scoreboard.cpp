@@ -1,44 +1,45 @@
 #include "cc/scoreboard.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 namespace rlacast::cc {
 
 void Scoreboard::on_send(net::SeqNum seq) {
   assert(seq == high_ && "new packets must be sent in order");
-  pkts_.emplace(seq, State{});
+  flags_.push_back(0);
   high_ = seq + 1;
   ++pipe_;  // fresh packet: unSACKed, not lost
 }
 
 void Scoreboard::on_retransmit(net::SeqNum seq) {
-  auto it = pkts_.find(seq);
-  if (it == pkts_.end()) return;
-  const bool was_in_pipe = in_pipe(it->second);
-  if (!it->second.rexmitted) ++rexmit_count_;
-  it->second.rexmitted = true;
-  if (!was_in_pipe && in_pipe(it->second)) ++pipe_;  // repair re-enters
+  if (!holds(seq)) return;
+  std::uint8_t& f = flags(seq);
+  const bool was_in_pipe = in_pipe(f);
+  if ((f & kRexmitted) == 0) ++rexmit_count_;
+  f |= kRexmitted;
+  if (!was_in_pipe && in_pipe(f)) ++pipe_;  // repair re-enters
 }
 
 void Scoreboard::clear_retransmitted(net::SeqNum seq) {
-  auto it = pkts_.find(seq);
-  if (it == pkts_.end()) return;
-  const bool was_in_pipe = in_pipe(it->second);
-  if (it->second.rexmitted) --rexmit_count_;
-  it->second.rexmitted = false;
-  if (was_in_pipe && !in_pipe(it->second)) --pipe_;  // presumed lost again
+  if (!holds(seq)) return;
+  std::uint8_t& f = flags(seq);
+  const bool was_in_pipe = in_pipe(f);
+  if ((f & kRexmitted) != 0) --rexmit_count_;
+  f &= static_cast<std::uint8_t>(~kRexmitted);
+  if (was_in_pipe && !in_pipe(f)) --pipe_;  // presumed lost again
 }
 
 std::int64_t Scoreboard::advance(net::SeqNum new_una) {
   if (new_una <= una_) return 0;
   const std::int64_t n = new_una - una_;
-  auto it = pkts_.begin();
-  while (it != pkts_.end() && it->first < new_una) {
-    if (it->second.sacked) --sacked_count_;
-    if (it->second.lost && !it->second.sacked) --lost_count_;
-    if (it->second.rexmitted) --rexmit_count_;
-    if (in_pipe(it->second)) --pipe_;
-    it = pkts_.erase(it);
+  const std::int64_t drop = std::min<std::int64_t>(n, high_ - una_);
+  for (std::int64_t i = 0; i < drop; ++i) {
+    const std::uint8_t f = flags_.pop_front();
+    if ((f & kSacked) != 0) --sacked_count_;
+    if ((f & (kLost | kSacked)) == kLost) --lost_count_;
+    if ((f & kRexmitted) != 0) --rexmit_count_;
+    if (in_pipe(f)) --pipe_;
   }
   una_ = new_una;
   if (high_ < una_) high_ = una_;
@@ -48,17 +49,14 @@ std::int64_t Scoreboard::advance(net::SeqNum new_una) {
 int Scoreboard::apply_sack(const net::SackBlock* blocks, int n_blocks) {
   int newly = 0;
   for (int b = 0; b < n_blocks; ++b) {
-    // One ordered walk per block instead of a map lookup per sequence: a
-    // block re-covering an already-SACKed span (every ACK from a receiver
-    // in a long recovery does this) costs a pointer chase per node, not a
-    // tree search per sequence.
-    const auto lo = pkts_.lower_bound(std::max(blocks[b].lo, una_));
-    for (auto it = lo; it != pkts_.end() && it->first < blocks[b].hi; ++it) {
-      if (it->second.sacked) continue;
-      if (in_pipe(it->second)) --pipe_;  // SACKed packets leave the pipe
-      it->second.sacked = true;
+    const net::SeqNum hi = std::min(blocks[b].hi, high_);
+    for (net::SeqNum seq = std::max(blocks[b].lo, una_); seq < hi; ++seq) {
+      std::uint8_t& f = flags(seq);
+      if ((f & kSacked) != 0) continue;
+      if (in_pipe(f)) --pipe_;  // SACKed packets leave the pipe
+      f |= kSacked;
       ++sacked_count_;
-      if (it->second.lost) --lost_count_;  // spurious loss mark
+      if ((f & kLost) != 0) --lost_count_;  // spurious loss mark
       ++newly;
     }
   }
@@ -66,73 +64,74 @@ int Scoreboard::apply_sack(const net::SackBlock* blocks, int n_blocks) {
 }
 
 int Scoreboard::detect_losses(int dupthresh) {
+  // Nothing has dupthresh SACKed packets above it while fewer are SACKed in
+  // all — the common case of an in-order window, answered without a walk.
+  if (sacked_count_ < dupthresh) return 0;
   // Walk from the top, counting SACKed packets above the cursor; everything
   // below the dupthresh-th SACKed packet that is itself unSACKed is lost.
   int newly = 0;
   int sacked_above = 0;
-  for (auto it = pkts_.rbegin(); it != pkts_.rend(); ++it) {
-    if (it->second.sacked) {
+  for (std::size_t i = flags_.size(); i-- > 0;) {
+    std::uint8_t& f = flags_[i];
+    if ((f & kSacked) != 0) {
       ++sacked_above;
       continue;
     }
-    if (sacked_above >= dupthresh && !it->second.lost) {
-      const bool was_in_pipe = in_pipe(it->second);
-      it->second.lost = true;
+    if (sacked_above >= dupthresh && (f & kLost) == 0) {
+      const bool was_in_pipe = in_pipe(f);
+      f |= kLost;
       ++lost_count_;
       ++newly;
-      if (was_in_pipe && !in_pipe(it->second)) --pipe_;
+      if (was_in_pipe && !in_pipe(f)) --pipe_;
     }
   }
   return newly;
 }
 
 void Scoreboard::mark_all_lost() {
-  for (auto& [seq, st] : pkts_) {
-    if (st.sacked) continue;
-    const bool was_in_pipe = in_pipe(st);
-    if (!st.lost) {
-      st.lost = true;
+  for (std::size_t i = 0; i < flags_.size(); ++i) {
+    std::uint8_t& f = flags_[i];
+    if ((f & kSacked) != 0) continue;
+    const bool was_in_pipe = in_pipe(f);
+    if ((f & kLost) == 0) {
+      f |= kLost;
       ++lost_count_;
     }
-    if (st.rexmitted) --rexmit_count_;
-    st.rexmitted = false;
-    if (was_in_pipe && !in_pipe(st)) --pipe_;
+    if ((f & kRexmitted) != 0) --rexmit_count_;
+    f &= static_cast<std::uint8_t>(~kRexmitted);
+    if (was_in_pipe && !in_pipe(f)) --pipe_;
   }
 }
 
 bool Scoreboard::is_sacked(net::SeqNum seq) const {
-  const auto it = pkts_.find(seq);
-  return it != pkts_.end() && it->second.sacked;
+  return holds(seq) && (flags(seq) & kSacked) != 0;
 }
 
 net::SeqNum Scoreboard::first_missing() const {
   if (fm_cursor_ < una_) fm_cursor_ = una_;
-  while (fm_cursor_ < high_) {
-    const auto it = pkts_.find(fm_cursor_);
-    if (it == pkts_.end() || !it->second.sacked) break;
+  while (fm_cursor_ < high_ && (flags(fm_cursor_) & kSacked) != 0)
     ++fm_cursor_;
-  }
   return fm_cursor_;
 }
 
 bool Scoreboard::is_lost(net::SeqNum seq) const {
-  const auto it = pkts_.find(seq);
-  return it != pkts_.end() && it->second.lost;
+  return holds(seq) && (flags(seq) & kLost) != 0;
 }
 
 bool Scoreboard::was_retransmitted(net::SeqNum seq) const {
-  const auto it = pkts_.find(seq);
-  return it != pkts_.end() && it->second.rexmitted;
+  return holds(seq) && (flags(seq) & kRexmitted) != 0;
 }
 
 net::SeqNum Scoreboard::next_to_retransmit() const {
-  for (const auto& [seq, st] : pkts_)
-    if (st.lost && !st.sacked && !st.rexmitted) return seq;
+  if (lost_count_ == 0) return net::kNoSeq;  // no unSACKed loss at all
+  for (std::size_t i = 0; i < flags_.size(); ++i)
+    if ((flags_[i] & (kLost | kSacked | kRexmitted)) == kLost)
+      return una_ + static_cast<net::SeqNum>(i);
   return net::kNoSeq;
 }
 
 void Scoreboard::reset(net::SeqNum next_seq) {
-  pkts_.clear();
+  flags_ = {};
   una_ = high_ = next_seq;
   fm_cursor_ = next_seq;  // pooled boards get reused at lower sequences
   sacked_count_ = lost_count_ = rexmit_count_ = 0;

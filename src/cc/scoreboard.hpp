@@ -8,12 +8,17 @@
 // rule when taking RTT samples.
 //
 // Shared by the TCP sender and (one instance per receiver) the RLA sender.
+//
+// The outstanding window is contiguous, so the per-packet state is one flag
+// byte per sequence number in [una, high), held in a ring indexed by
+// seq - una: sending appends, advancing the cumulative point pops, and
+// every query is an index, not a tree search.
 #pragma once
 
 #include <cstdint>
-#include <map>
 
 #include "net/packet.hpp"
+#include "sim/ring.hpp"
 
 namespace rlacast::cc {
 
@@ -89,30 +94,30 @@ class Scoreboard {
     return sacked_count_ == 0 && lost_count_ == 0 && rexmit_count_ == 0;
   }
 
-  /// Resident bytes: per-packet map nodes plus the object itself.  The map
-  /// node estimate (key/value + 3 pointers + color) matches libstdc++'s
-  /// _Rb_tree_node layout closely enough for the scale benches.
-  std::size_t state_bytes() const {
-    return sizeof(*this) + pkts_.size() * (sizeof(net::SeqNum) + sizeof(State) +
-                                           4 * sizeof(void*));
-  }
+  /// Resident bytes: the flag ring's storage plus the object itself.
+  std::size_t state_bytes() const { return sizeof(*this) + flags_.capacity(); }
 
-  /// Drops all per-packet state (session restart in tests).
+  /// Drops all per-packet state and frees its storage (session restart,
+  /// or a board parked in a pool).
   void reset(net::SeqNum next_seq);
 
  private:
-  struct State {
-    bool sacked = false;
-    bool lost = false;
-    bool rexmitted = false;
-  };
+  enum Flag : std::uint8_t { kSacked = 1, kLost = 2, kRexmitted = 4 };
 
   /// In-pipe predicate: not SACKed and (not lost, or repaired).
-  static bool in_pipe(const State& st) {
-    return !st.sacked && (!st.lost || st.rexmitted);
+  static bool in_pipe(std::uint8_t f) {
+    return (f & kSacked) == 0 && ((f & kLost) == 0 || (f & kRexmitted) != 0);
   }
 
-  std::map<net::SeqNum, State> pkts_;  // only seqs in [una_, high_)
+  bool holds(net::SeqNum seq) const { return seq >= una_ && seq < high_; }
+  std::uint8_t flags(net::SeqNum seq) const {
+    return flags_[static_cast<std::size_t>(seq - una_)];
+  }
+  std::uint8_t& flags(net::SeqNum seq) {
+    return flags_[static_cast<std::size_t>(seq - una_)];
+  }
+
+  sim::Ring<std::uint8_t> flags_;  // one Flag set per seq in [una_, high_)
   net::SeqNum una_ = 0;
   net::SeqNum high_ = 0;
   mutable net::SeqNum fm_cursor_ = 0;  // first_missing scan cursor

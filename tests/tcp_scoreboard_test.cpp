@@ -1,8 +1,16 @@
 // Scoreboard tests: SACK application, the three-dup loss rule, pipe
-// accounting, retransmission bookkeeping, and cumulative advance.
+// accounting, retransmission bookkeeping, and cumulative advance — plus a
+// differential test against the ordered-map scoreboard the ring layout
+// replaced.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
+#include <vector>
+
 #include "cc/scoreboard.hpp"
+#include "sim/random.hpp"
 
 namespace rlacast::cc {
 namespace {
@@ -124,6 +132,237 @@ TEST(Scoreboard, ResetRestartsCleanly) {
   EXPECT_EQ(sb.outstanding(), 0);
   EXPECT_EQ(sb.pipe(), 0);
 }
+
+TEST(Scoreboard, ResetFreesPerPacketStorage) {
+  Scoreboard sb = with_sent(1000);
+  EXPECT_GE(sb.state_bytes(), sizeof(Scoreboard) + 1000);
+  sb.reset(0);  // how a pooled board is parked
+  EXPECT_EQ(sb.state_bytes(), sizeof(Scoreboard));
+}
+
+// The ordered-map scoreboard, kept as the reference the ring layout must
+// match query for query: one map node of flags per outstanding packet,
+// every query a tree search or an in-order walk.
+class MapScoreboard {
+ public:
+  net::SeqNum una() const { return una_; }
+  net::SeqNum high() const { return high_; }
+  std::int64_t pipe() const { return pipe_; }
+  std::int64_t sacked_count() const { return sacked_count_; }
+  std::int64_t lost_count() const { return lost_count_; }
+  std::int64_t rexmit_count() const { return rexmit_count_; }
+
+  void on_send(net::SeqNum seq) {
+    pkts_.emplace(seq, State{});
+    high_ = seq + 1;
+    ++pipe_;
+  }
+
+  void on_retransmit(net::SeqNum seq) {
+    auto it = pkts_.find(seq);
+    if (it == pkts_.end()) return;
+    const bool was_in_pipe = in_pipe(it->second);
+    if (!it->second.rexmitted) ++rexmit_count_;
+    it->second.rexmitted = true;
+    if (!was_in_pipe && in_pipe(it->second)) ++pipe_;
+  }
+
+  void clear_retransmitted(net::SeqNum seq) {
+    auto it = pkts_.find(seq);
+    if (it == pkts_.end()) return;
+    const bool was_in_pipe = in_pipe(it->second);
+    if (it->second.rexmitted) --rexmit_count_;
+    it->second.rexmitted = false;
+    if (was_in_pipe && !in_pipe(it->second)) --pipe_;
+  }
+
+  std::int64_t advance(net::SeqNum new_una) {
+    if (new_una <= una_) return 0;
+    const std::int64_t n = new_una - una_;
+    auto it = pkts_.begin();
+    while (it != pkts_.end() && it->first < new_una) {
+      if (it->second.sacked) --sacked_count_;
+      if (it->second.lost && !it->second.sacked) --lost_count_;
+      if (it->second.rexmitted) --rexmit_count_;
+      if (in_pipe(it->second)) --pipe_;
+      it = pkts_.erase(it);
+    }
+    una_ = new_una;
+    if (high_ < una_) high_ = una_;
+    return n;
+  }
+
+  int apply_sack(const net::SackBlock* blocks, int n_blocks) {
+    int newly = 0;
+    for (int b = 0; b < n_blocks; ++b) {
+      const auto lo = pkts_.lower_bound(std::max(blocks[b].lo, una_));
+      for (auto it = lo; it != pkts_.end() && it->first < blocks[b].hi; ++it) {
+        if (it->second.sacked) continue;
+        if (in_pipe(it->second)) --pipe_;
+        it->second.sacked = true;
+        ++sacked_count_;
+        if (it->second.lost) --lost_count_;
+        ++newly;
+      }
+    }
+    return newly;
+  }
+
+  int detect_losses(int dupthresh) {
+    int newly = 0;
+    int sacked_above = 0;
+    for (auto it = pkts_.rbegin(); it != pkts_.rend(); ++it) {
+      if (it->second.sacked) {
+        ++sacked_above;
+        continue;
+      }
+      if (sacked_above >= dupthresh && !it->second.lost) {
+        const bool was_in_pipe = in_pipe(it->second);
+        it->second.lost = true;
+        ++lost_count_;
+        ++newly;
+        if (was_in_pipe && !in_pipe(it->second)) --pipe_;
+      }
+    }
+    return newly;
+  }
+
+  void mark_all_lost() {
+    for (auto& [seq, st] : pkts_) {
+      if (st.sacked) continue;
+      const bool was_in_pipe = in_pipe(st);
+      if (!st.lost) {
+        st.lost = true;
+        ++lost_count_;
+      }
+      if (st.rexmitted) --rexmit_count_;
+      st.rexmitted = false;
+      if (was_in_pipe && !in_pipe(st)) --pipe_;
+    }
+  }
+
+  bool is_sacked(net::SeqNum seq) const {
+    const auto it = pkts_.find(seq);
+    return it != pkts_.end() && it->second.sacked;
+  }
+  bool is_lost(net::SeqNum seq) const {
+    const auto it = pkts_.find(seq);
+    return it != pkts_.end() && it->second.lost;
+  }
+  bool was_retransmitted(net::SeqNum seq) const {
+    const auto it = pkts_.find(seq);
+    return it != pkts_.end() && it->second.rexmitted;
+  }
+
+  net::SeqNum first_missing() const {
+    net::SeqNum s = una_;
+    while (s < high_ && is_sacked(s)) ++s;
+    return s;
+  }
+
+  net::SeqNum next_to_retransmit() const {
+    for (const auto& [seq, st] : pkts_)
+      if (st.lost && !st.sacked && !st.rexmitted) return seq;
+    return net::kNoSeq;
+  }
+
+ private:
+  struct State {
+    bool sacked = false;
+    bool lost = false;
+    bool rexmitted = false;
+  };
+  static bool in_pipe(const State& st) {
+    return !st.sacked && (!st.lost || st.rexmitted);
+  }
+
+  std::map<net::SeqNum, State> pkts_;
+  net::SeqNum una_ = 0;
+  net::SeqNum high_ = 0;
+  std::int64_t sacked_count_ = 0;
+  std::int64_t lost_count_ = 0;
+  std::int64_t rexmit_count_ = 0;
+  std::int64_t pipe_ = 0;
+};
+
+class ScoreboardDifferential : public ::testing::TestWithParam<std::uint64_t> {
+};
+
+TEST_P(ScoreboardDifferential, RingMatchesMapOnEveryQuery) {
+  sim::Rng rng(GetParam());
+  Scoreboard sb;
+  MapScoreboard ref;
+  // A seq around the window: a little below una to a little above high,
+  // so out-of-range arguments are exercised too.
+  auto any_seq = [&] {
+    return rng.uniform_int(ref.una() - 3, ref.high() + 3);
+  };
+  for (int step = 0; step < 6000; ++step) {
+    const std::int64_t op = rng.uniform_int(0, 99);
+    if (op < 30) {
+      const std::int64_t burst = rng.uniform_int(1, 3);
+      for (std::int64_t i = 0; i < burst; ++i) {
+        sb.on_send(sb.high());
+        ref.on_send(ref.high());
+      }
+    } else if (op < 55) {
+      // One to three SACK blocks, possibly overlapping, stale or beyond high.
+      net::SackBlock blocks[3];
+      const int n = static_cast<int>(rng.uniform_int(1, 3));
+      for (int b = 0; b < n; ++b) {
+        const net::SeqNum lo = any_seq();
+        blocks[b] = {lo, lo + rng.uniform_int(0, 6)};
+      }
+      ASSERT_EQ(sb.apply_sack(blocks, n), ref.apply_sack(blocks, n))
+          << "step " << step;
+    } else if (op < 65) {
+      const net::SeqNum to = rng.uniform() < 0.1
+                                 ? ref.high() + rng.uniform_int(0, 3)
+                                 : ref.una() + rng.uniform_int(-1, 14);
+      ASSERT_EQ(sb.advance(to), ref.advance(to)) << "step " << step;
+    } else if (op < 78) {
+      const int dupthresh = static_cast<int>(rng.uniform_int(1, 4));
+      ASSERT_EQ(sb.detect_losses(dupthresh), ref.detect_losses(dupthresh))
+          << "step " << step;
+    } else if (op < 88) {
+      // Mostly the sender's pick, sometimes an arbitrary seq.
+      net::SeqNum seq = sb.next_to_retransmit();
+      if (seq == net::kNoSeq || rng.uniform() < 0.3) seq = any_seq();
+      sb.on_retransmit(seq);
+      ref.on_retransmit(seq);
+    } else if (op < 96) {
+      const net::SeqNum seq = any_seq();
+      sb.clear_retransmitted(seq);
+      ref.clear_retransmitted(seq);
+    } else {
+      sb.mark_all_lost();
+      ref.mark_all_lost();
+    }
+
+    ASSERT_EQ(sb.una(), ref.una()) << "step " << step;
+    ASSERT_EQ(sb.high(), ref.high()) << "step " << step;
+    ASSERT_EQ(sb.outstanding(), ref.high() - ref.una()) << "step " << step;
+    ASSERT_EQ(sb.pipe(), ref.pipe()) << "step " << step;
+    ASSERT_EQ(sb.sacked_count(), ref.sacked_count()) << "step " << step;
+    ASSERT_EQ(sb.lost_count(), ref.lost_count()) << "step " << step;
+    ASSERT_EQ(sb.rexmit_count(), ref.rexmit_count()) << "step " << step;
+    ASSERT_EQ(sb.clean(), ref.sacked_count() == 0 && ref.lost_count() == 0 &&
+                              ref.rexmit_count() == 0)
+        << "step " << step;
+    ASSERT_EQ(sb.first_missing(), ref.first_missing()) << "step " << step;
+    ASSERT_EQ(sb.next_to_retransmit(), ref.next_to_retransmit())
+        << "step " << step;
+    for (net::SeqNum s = ref.una() - 2; s < ref.high() + 2; ++s) {
+      ASSERT_EQ(sb.is_sacked(s), ref.is_sacked(s)) << "step " << step;
+      ASSERT_EQ(sb.is_lost(s), ref.is_lost(s)) << "step " << step;
+      ASSERT_EQ(sb.was_retransmitted(s), ref.was_retransmitted(s))
+          << "step " << step;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ScoreboardDifferential,
+                         ::testing::Values(1u, 2u, 3u, 4u));
 
 }  // namespace
 }  // namespace rlacast::cc
