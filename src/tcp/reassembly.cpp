@@ -11,6 +11,15 @@ void ReassemblyBuffer::start_at(net::SeqNum seq) {
 }
 
 bool ReassemblyBuffer::add(net::SeqNum seq) {
+  if (seq == cum_ && (blocks_.empty() || blocks_.begin()->first != seq + 1)) {
+    // In order, with no buffered block to absorb: the cumulative point
+    // simply moves (the general path below inserts and erases a one-packet
+    // block to the same effect).
+    cum_ = seq + 1;
+    highest_ = std::max(highest_, cum_);
+    note_recent(seq);
+    return true;
+  }
   if (seq < cum_ || has(seq)) return false;  // duplicate
 
   highest_ = std::max(highest_, seq + 1);
@@ -43,10 +52,14 @@ bool ReassemblyBuffer::add(net::SeqNum seq) {
     blocks_.erase(front);
   }
 
-  // Recency list for SACK generation: newest first, bounded.
-  recent_.push_front(seq);
-  if (recent_.size() > 16) recent_.pop_back();
+  note_recent(seq);  // recency list for SACK generation
   return true;
+}
+
+void ReassemblyBuffer::note_recent(net::SeqNum seq) {
+  recent_head_ = (recent_head_ + kRecent - 1) & (kRecent - 1);
+  recent_[recent_head_] = seq;
+  if (recent_count_ < kRecent) ++recent_count_;
 }
 
 bool ReassemblyBuffer::has(net::SeqNum seq) const {
@@ -66,7 +79,8 @@ net::SackBlock ReassemblyBuffer::block_around(net::SeqNum seq) const {
 int ReassemblyBuffer::sack_blocks(net::SackBlock* blocks,
                                   int max_blocks) const {
   int n = 0;
-  for (net::SeqNum seq : recent_) {
+  for (std::size_t i = 0; i < recent_count_; ++i) {
+    const net::SeqNum seq = recent_[(recent_head_ + i) & (kRecent - 1)];
     if (seq < cum_) continue;  // swallowed by the cumulative ACK
     const net::SackBlock b = block_around(seq);
     bool dup = false;

@@ -9,10 +9,14 @@
 // Out-of-order data is stored as disjoint [lo, hi) intervals, so every
 // operation is O(log blocks) regardless of how long a hole persists — a
 // receiver stuck behind one missing packet (e.g. after the sender dropped it
-// via the §4.3 slow-receiver option) must not degrade to linear scans.
+// via the §4.3 slow-receiver option) must not degrade to linear scans.  An
+// in-order arrival with nothing buffered right above it touches no interval
+// at all, and the recency list is a fixed array: the in-order receive path
+// performs no heap allocation.
 #pragma once
 
-#include <deque>
+#include <array>
+#include <cstddef>
 #include <map>
 
 #include "net/packet.hpp"
@@ -55,11 +59,20 @@ class ReassemblyBuffer {
   /// a received, above-cum sequence number.
   net::SackBlock block_around(net::SeqNum seq) const;
 
+  /// Records `seq` as the newest arrival, forgetting the oldest beyond
+  /// kRecent.
+  void note_recent(net::SeqNum seq);
+
+  static constexpr std::size_t kRecent = 16;  // power of two: wrap by mask
+
   net::SeqNum cum_ = 0;
   net::SeqNum highest_ = 0;
   std::map<net::SeqNum, net::SeqNum> blocks_;  // disjoint lo -> hi, all >= cum_
   std::size_t ooo_pkts_ = 0;
-  std::deque<net::SeqNum> recent_;  // recently arrived seqs, newest first
+  // Recently arrived seqs, newest at recent_head_, as a ring.
+  std::array<net::SeqNum, kRecent> recent_{};
+  std::size_t recent_head_ = 0;
+  std::size_t recent_count_ = 0;
 };
 
 }  // namespace rlacast::tcp

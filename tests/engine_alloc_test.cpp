@@ -3,8 +3,9 @@
 // This binary replaces the global operator new/delete with counting
 // wrappers, warms each subsystem past its growth phase (slab, heap, packet
 // rings), and then asserts that a steady-state window — timer re-arms, link
-// traffic, multicast fan-out — performs literally zero heap allocations.
-// The counter is per-binary, which is why this test lives in its own file.
+// traffic, multicast fan-out, a TCP connection's send/ACK loop — performs
+// literally zero heap allocations.  The counter is per-binary, which is why
+// this test lives in its own file.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,6 +14,8 @@
 
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
+#include "tcp/tcp_receiver.hpp"
+#include "tcp/tcp_sender.hpp"
 
 namespace {
 std::uint64_t g_news = 0;
@@ -140,6 +143,40 @@ TEST(EngineAlloc, SteadyStateMulticastFanOutAllocatesNothing) {
   EXPECT_EQ(g_news - before, 0u) << "multicast fan-out hit the heap";
   EXPECT_GT(sink1.received, 4000u);
   EXPECT_EQ(sink1.received, sink2.received);
+}
+
+TEST(EngineAlloc, SteadyStateTcpAckPathAllocatesNothing) {
+  sim::Simulator sim{1};
+  net::Network net{sim};
+  const net::NodeId a = net.add_node();
+  const net::NodeId b = net.add_node();
+  net::LinkConfig cfg;
+  cfg.bandwidth_bps = 8e6;  // 1000 B -> 1 ms serialization
+  cfg.delay = 0.01;
+  cfg.buffer_pkts = 64;
+  net.connect(a, b, cfg);
+  net.build_routes();
+
+  // A window-limited SACK connection: 16 packets in flight against a
+  // ~21-packet bandwidth-delay product, so nothing queues or drops and
+  // every ACK takes the steady in-order path (scoreboard send/advance,
+  // receiver reassembly, RTT sampling, ACK pacing).
+  tcp::TcpParams params;
+  params.initial_cwnd = 16.0;
+  params.max_cwnd = 16.0;
+  tcp::TcpReceiver receiver(net, b, 1);
+  tcp::TcpSender sender(net, a, 1, b, 1, /*flow=*/1, params);
+  sender.start_at(0.0);
+  sim.run_until(1.0);  // warm-up: scoreboard ring, pipe rings, slab, heap
+
+  const std::uint64_t before = g_news;
+  const std::uint64_t received_before = receiver.data_packets_received();
+  sim.run_until(20.0);
+  const std::uint64_t received =
+      receiver.data_packets_received() - received_before;
+  EXPECT_EQ(g_news - before, 0u)
+      << "TCP send/ACK loop hit the heap over " << received << " packets";
+  EXPECT_GT(received, 10000u);
 }
 
 }  // namespace
