@@ -4,6 +4,21 @@
 
 namespace rlacast::rla {
 
+namespace {
+
+/// The ACK-jitter stream label. Two sessions' receivers can share a node
+/// and an index, so every session but the first (group 1, the only group
+/// of single-session runs, whose labels and seeds stay as they were) also
+/// names its group.
+std::string ack_overhead_label(net::NodeId node, int id, net::GroupId group) {
+  std::string label =
+      "rla-ack-overhead-" + std::to_string(node) + "-" + std::to_string(id);
+  if (group != 1) label += "-g" + std::to_string(group);
+  return label;
+}
+
+}  // namespace
+
 RlaReceiver::RlaReceiver(net::Network& network, net::NodeId node,
                          net::PortId port, net::GroupId group,
                          net::NodeId sender_node, net::PortId sender_port,
@@ -18,8 +33,7 @@ RlaReceiver::RlaReceiver(net::Network& network, net::NodeId node,
       options_(options),
       ack_pacer_(network.simulator(), network,
                  network.simulator().rng_stream(
-                     "rla-ack-overhead-" + std::to_string(node) + "-" +
-                     std::to_string(id)),
+                     ack_overhead_label(node, id, group)),
                  options.max_ack_overhead) {
   // Unicast retransmissions arrive addressed to (node, port); multicast
   // payload arrives via the group subscription.
