@@ -131,7 +131,7 @@ void Link::arm_head() {
 
 void Link::on_propagated() {
   // Pop, and arm the next arrival, before delivering: delivery may
-  // re-entrantly transmit on this link.
+  // re-enter this link, whose pipe must be armed exactly when non-empty.
   const Packet p = pipe_.pop_front().pkt;
   if (!pipe_.empty()) arm_head();
   network_.deliver(to_, p);

@@ -112,9 +112,9 @@ class Link : public replay::Snapshotable {
   std::size_t in_flight_hiwater() const { return inflight_hiwater_; }
 
   /// Installs (or clears, with nullptr) the fault-injection hook. The hook
-  /// must outlive the link or be cleared before it dies; install it before
-  /// traffic flows (a jittered arrival must never be overtaken by a later
-  /// pristine one — the pipe delivers in order).
+  /// must outlive the link or be cleared before it dies, and must not be
+  /// cleared while packets it jittered are still in flight: a later pristine
+  /// arrival could then fall before them, and the pipe delivers in order.
   void set_fault_hook(LinkFaultHook* hook) { fault_ = hook; }
   const LinkFaultHook* fault_hook() const { return fault_; }
 

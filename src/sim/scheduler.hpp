@@ -178,8 +178,9 @@ class Scheduler : public replay::Snapshotable {
 
   /// Settles the heap top: discards dead entries and re-queues entries
   /// whose slot was retargeted later, until the top is an event due under
-  /// exactly its key (or the heap is empty).  Mutates only the heap, hence
-  /// callable from const queries.
+  /// exactly its key (or the heap is empty).  Changes only the heap and
+  /// the slots' queued keys, never an event's key, hence callable from
+  /// const queries.
   void skim() const;
 
   /// Returns `slot` to the free list after bumping its generation.
