@@ -11,11 +11,16 @@ void ReassemblyBuffer::start_at(net::SeqNum seq) {
 }
 
 bool ReassemblyBuffer::add(net::SeqNum seq) {
-  if (seq == cum_ && (blocks_.empty() || blocks_.begin()->first != seq + 1)) {
-    // In order, with no buffered block to absorb: the cumulative point
-    // simply moves (the general path below inserts and erases a one-packet
-    // block to the same effect).
+  if (seq == cum_) {
+    // In order: the cumulative point moves, absorbing the buffered block
+    // that now starts at it, if any (every block starts above cum_).
     cum_ = seq + 1;
+    auto front = blocks_.begin();
+    if (front != blocks_.end() && front->first == cum_) {
+      ooo_pkts_ -= static_cast<std::size_t>(front->second - front->first);
+      cum_ = front->second;
+      blocks_.erase(front);
+    }
     highest_ = std::max(highest_, cum_);
     note_recent(seq);
     return true;
@@ -25,7 +30,8 @@ bool ReassemblyBuffer::add(net::SeqNum seq) {
   highest_ = std::max(highest_, seq + 1);
   ++ooo_pkts_;
 
-  // Insert [seq, seq+1) and merge with neighbours.
+  // Insert [seq, seq+1) and merge with neighbours.  seq > cum_, so the
+  // merged block still starts above the cumulative point.
   net::SeqNum lo = seq, hi = seq + 1;
   // Predecessor block ending exactly at seq merges from the left.
   auto it = blocks_.upper_bound(seq);
@@ -43,14 +49,6 @@ bool ReassemblyBuffer::add(net::SeqNum seq) {
     blocks_.erase(it);
   }
   blocks_[lo] = hi;
-
-  // Advance the cumulative point over a block that now starts at it.
-  auto front = blocks_.find(cum_);
-  if (front != blocks_.end()) {
-    ooo_pkts_ -= static_cast<std::size_t>(front->second - front->first);
-    cum_ = front->second;
-    blocks_.erase(front);
-  }
 
   note_recent(seq);  // recency list for SACK generation
   return true;

@@ -10,9 +10,9 @@
 // operation is O(log blocks) regardless of how long a hole persists — a
 // receiver stuck behind one missing packet (e.g. after the sender dropped it
 // via the §4.3 slow-receiver option) must not degrade to linear scans.  An
-// in-order arrival with nothing buffered right above it touches no interval
-// at all, and the recency list is a fixed array: the in-order receive path
-// performs no heap allocation.
+// in-order arrival inserts no interval (it can only absorb the block right
+// above it), and the recency list is a fixed array: the in-order receive
+// path performs no heap allocation.
 #pragma once
 
 #include <array>
@@ -67,7 +67,7 @@ class ReassemblyBuffer {
 
   net::SeqNum cum_ = 0;
   net::SeqNum highest_ = 0;
-  std::map<net::SeqNum, net::SeqNum> blocks_;  // disjoint lo -> hi, all >= cum_
+  std::map<net::SeqNum, net::SeqNum> blocks_;  // disjoint lo -> hi, all > cum_
   std::size_t ooo_pkts_ = 0;
   // Recently arrived seqs, newest at recent_head_, as a ring.
   std::array<net::SeqNum, kRecent> recent_{};
