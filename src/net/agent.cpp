@@ -16,25 +16,11 @@ void SendPacer::send(const Packet& p) {
   const sim::SimTime depart_at = std::max(
       sim_.now() + rng_.uniform(0.0, max_overhead_), last_departure_);
   last_departure_ = depart_at;
-  pending_.push_back(
-      Pending{p, depart_at, sim_.scheduler().take_seq()});
-  if (pending_.size() == 1) arm_head();
+  pending_.push(depart_at, p);
 }
 
-void SendPacer::arm_head() {
-  const Pending& head = pending_.front();
-  auto fire = [this] { depart(); };
-  static_assert(sim::SmallCallback::fits_inline<decltype(fire)>(),
-                "pacer departure events must use the inline callback path");
-  sim_.scheduler().schedule_at_seq(head.at, head.seq, std::move(fire));
-}
-
-void SendPacer::depart() {
-  // Arm the next departure before injecting: injection may re-entrantly
-  // send through this pacer, which must find the head armed.
-  const Packet p = pending_.pop_front().pkt;
-  if (!pending_.empty()) arm_head();
-  network_.inject(p);
+void SendPacer::Inject::operator()(const Packet& p) const {
+  network->inject(p);
 }
 
 }  // namespace rlacast::net

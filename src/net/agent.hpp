@@ -10,8 +10,8 @@
 
 #include "net/packet.hpp"
 #include "sim/random.hpp"
-#include "sim/ring.hpp"
 #include "sim/simulator.hpp"
+#include "sim/timed_fifo.hpp"
 
 namespace rlacast::net {
 
@@ -30,12 +30,11 @@ class Agent {
 /// With max_overhead > 0 each packet waits Uniform(0, max_overhead) of
 /// "processing time"; departures remain in FIFO order.
 ///
-/// Pending packets wait in a ring owned by the pacer, each with the
-/// (departure time, sequence number) reserved when it was sent; only the
-/// head's departure is armed, as a thin callback that pops the ring (no
-/// Packet captured in the closure, no allocation on the send path).
-/// Departure keys increase in both components by construction, so each
-/// departure dispatches under the key an event of its own would have had.
+/// Pending packets wait in a sim::TimedFifo owned by the pacer: each
+/// reserves its departure's dispatch key when it is sent and only the
+/// head's departure is armed (no Packet captured in a closure, no
+/// allocation on the send path), so each departure dispatches under the
+/// key an event of its own would have had.
 class SendPacer {
  public:
   SendPacer(sim::Simulator& sim, Network& network, sim::Rng rng,
@@ -43,7 +42,8 @@ class SendPacer {
       : sim_(sim),
         network_(network),
         rng_(std::move(rng)),
-        max_overhead_(max_overhead) {}
+        max_overhead_(max_overhead),
+        pending_(sim.scheduler(), Inject{&network}) {}
 
   void set_max_overhead(sim::SimTime v) { max_overhead_ = v; }
   sim::SimTime max_overhead() const { return max_overhead_; }
@@ -52,21 +52,18 @@ class SendPacer {
   void send(const Packet& p);
 
  private:
-  struct Pending {
-    Packet pkt;
-    sim::SimTime at = 0.0;
-    std::uint64_t seq = 0;
+  /// Injects a packet whose processing time has elapsed.
+  struct Inject {
+    Network* network;
+    void operator()(const Packet& p) const;
   };
-
-  void arm_head();
-  void depart();
 
   sim::Simulator& sim_;
   Network& network_;
   sim::Rng rng_;
   sim::SimTime max_overhead_;
   sim::SimTime last_departure_ = 0.0;
-  sim::Ring<Pending> pending_;
+  sim::TimedFifo<Packet, Inject> pending_;
 };
 
 }  // namespace rlacast::net

@@ -17,7 +17,8 @@ Link::Link(sim::Simulator& sim, Network& network, NodeId from, NodeId to,
       to_(to),
       bandwidth_bps_(bandwidth_bps),
       delay_(delay),
-      queue_(std::move(queue)) {
+      queue_(std::move(queue)),
+      pipe_(sim.scheduler(), Deliver{&network, to}) {
   if (replay::RunObserver* obs = sim_.observer()) {
     const std::string id =
         "link-" + std::to_string(from_) + "-" + std::to_string(to_);
@@ -82,7 +83,7 @@ void Link::on_serialized() {
   if (fault_ == nullptr) {
     ++delivered_;
     bytes_delivered_ += static_cast<std::uint64_t>(tx_pkt_.size_bytes);
-    launch(std::move(tx_pkt_), sim_.now() + delay_);
+    pipe_.push(sim_.now() + delay_, std::move(tx_pkt_));
     inflight_hiwater_ = std::max(inflight_hiwater_, in_flight());
     pump();
     return;
@@ -108,33 +109,15 @@ void Link::on_serialized() {
   if (v.duplicated) {
     ++fault_duplicates_;
     ++sim_.scheduler().counters_mut().fault_duplicates;
-    launch(tx_pkt_, arrive_at);  // the extra copy; original follows below
+    pipe_.push(arrive_at, tx_pkt_);  // the extra copy; original follows
   }
-  launch(std::move(tx_pkt_), arrive_at);
+  pipe_.push(arrive_at, std::move(tx_pkt_));
   inflight_hiwater_ = std::max(inflight_hiwater_, in_flight());
   pump();
 }
 
-void Link::launch(Packet p, sim::SimTime at) {
-  const std::uint64_t seq = sim_.scheduler().take_seq();
-  pipe_.push_back(InFlight{std::move(p), at, seq});
-  if (pipe_.size() == 1) arm_head();
-}
-
-void Link::arm_head() {
-  const InFlight& head = pipe_.front();
-  auto arrive = [this] { on_propagated(); };
-  static_assert(sim::SmallCallback::fits_inline<decltype(arrive)>(),
-                "link pipeline events must use the inline callback path");
-  sim_.scheduler().schedule_at_seq(head.at, head.seq, std::move(arrive));
-}
-
-void Link::on_propagated() {
-  // Pop, and arm the next arrival, before delivering: delivery may
-  // re-enter this link, whose pipe must be armed exactly when non-empty.
-  const Packet p = pipe_.pop_front().pkt;
-  if (!pipe_.empty()) arm_head();
-  network_.deliver(to_, p);
+void Link::Deliver::operator()(const Packet& p) const {
+  network->deliver(to, p);
 }
 
 }  // namespace rlacast::net

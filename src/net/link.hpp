@@ -13,9 +13,9 @@
 // link, so pumping a packet performs zero heap allocations and copies no
 // Packet into closures.  Propagation delay is a per-link constant and
 // serialization ends are strictly ordered, so deliveries pop the ring FIFO.
-// Each pipe entry keeps the (arrival time, sequence number) it reserved at
-// serialization end, and only the head's arrival is armed in the scheduler:
-// the link holds at most two events (serializer, pipe head) however many
+// The pipe is a sim::TimedFifo: each packet reserves its arrival's dispatch
+// key at serialization end and only the head's arrival is armed, so the
+// link holds at most two events (serializer, pipe head) however many
 // packets are on the wire, and each arrival still dispatches under the key
 // an event of its own would have had.
 //
@@ -31,8 +31,8 @@
 
 #include "net/packet.hpp"
 #include "net/queue.hpp"
-#include "sim/ring.hpp"
 #include "sim/simulator.hpp"
+#include "sim/timed_fifo.hpp"
 
 namespace rlacast::net {
 
@@ -143,21 +143,15 @@ class Link : public replay::Snapshotable {
   replay::Snapshot snapshot_state() const override;
 
  private:
-  /// A serialized packet on its propagation leg, with the dispatch key its
-  /// arrival reserved at serialization end.
-  struct InFlight {
-    Packet pkt;
-    sim::SimTime at = 0.0;
-    std::uint64_t seq = 0;
+  /// Hands a packet at the end of its propagation leg to the far node.
+  struct Deliver {
+    Network* network;
+    NodeId to;
+    void operator()(const Packet& p) const;
   };
 
   void pump();
   void on_serialized();
-  /// Appends a serialized packet arriving at `at`, reserving its arrival's
-  /// sequence number now; arms it if it is the pipe's head.
-  void launch(Packet p, sim::SimTime at);
-  void arm_head();
-  void on_propagated();
 
   sim::Simulator& sim_;
   Network& network_;
@@ -168,7 +162,7 @@ class Link : public replay::Snapshotable {
   std::unique_ptr<Queue> queue_;
   bool busy_ = false;
   Packet tx_pkt_;      // the packet being serialized (valid while busy_)
-  sim::Ring<InFlight> pipe_;  // serialized packets still propagating, FIFO
+  sim::TimedFifo<Packet, Deliver> pipe_;  // serialized, still propagating
   std::size_t inflight_hiwater_ = 0;
   std::uint64_t delivered_ = 0;
   std::uint64_t bytes_delivered_ = 0;

@@ -13,11 +13,11 @@
 // timestamp), which in turn makes every simulation in this repository
 // exactly reproducible for a given seed.  Keys live in a 4-ary min-heap
 // that holds about one entry per event *source*, not per event:
-//  * FIFO sources (a link's propagation pipe, a pacer's departures) reserve
-//    each packet's sequence number with take_seq() when the packet enters
-//    the FIFO, keep (time, seq) beside it, and arm only the head with
-//    schedule_at_seq() — the dispatch keys are exactly those an event per
-//    packet would have had;
+//  * FIFO sources (sim::TimedFifo: a link's propagation pipe, a pacer's
+//    departures) reserve each packet's sequence number with take_seq() when
+//    the packet enters the FIFO, keep (time, seq) beside it, and arm only
+//    the head with schedule_at_seq() — the dispatch keys are exactly those
+//    an event per packet would have had;
 //  * reschedule_at() moving an event no earlier than its queued heap entry
 //    only records the new key in the slot; the entry is re-queued under it
 //    when it reaches the top.  That is what makes TCP-style "restart the

@@ -3,14 +3,17 @@
 // simulator relies on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <utility>
 #include <vector>
 
 #include "sim/random.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/simulator.hpp"
+#include "sim/timed_fifo.hpp"
 
 namespace rlacast::sim {
 namespace {
@@ -317,6 +320,71 @@ TEST(Scheduler, RandomizedStressMatchesNaiveReference) {
   ASSERT_EQ(real_order.size(), ref_order.size());
   EXPECT_EQ(real_order, ref_order);
   EXPECT_TRUE(s.empty());
+}
+
+// TimedFifo against one event per value: the same random mix of pushes,
+// plain events and pushes made from inside the sink, run once through a
+// TimedFifo and once scheduling every value as its own event, must dispatch
+// in the same order.  Times are quantized so values tie with each other and
+// with plain events.  The FIFO holds one scheduler event exactly while it
+// is non-empty.
+std::vector<int> fifo_dispatch_order(std::uint64_t seed, bool use_fifo) {
+  struct Sink {
+    std::function<void(int)>* deliver;
+    void operator()(int v) const { (*deliver)(v); }
+  };
+  Scheduler s;
+  Rng rng(seed);
+  std::vector<int> order;
+  std::function<void(int)> deliver;
+  TimedFifo<int, Sink> fifo(s, Sink{&deliver});
+  SimTime last = 0.0;  // pushed times must not decrease
+  int next_value = 0;
+  std::size_t plain_pending = 0;
+  auto push = [&] {
+    last = std::max(last, s.now()) + 0.5 * rng.uniform_int(0, 2);
+    const int v = next_value++;
+    if (use_fifo)
+      fifo.push(last, v);
+    else
+      s.schedule_at(last, [&deliver, v] { deliver(v); });
+  };
+  deliver = [&](int v) {
+    order.push_back(v);
+    if (rng.chance(0.3)) push();  // re-entrant push from the sink
+  };
+  for (int step = 0; step < 5000; ++step) {
+    const double r = rng.uniform();
+    if (r < 0.35) {
+      push();
+    } else if (r < 0.55) {
+      const int tag = -1 - step;
+      ++plain_pending;
+      s.schedule_at(s.now() + 0.5 * rng.uniform_int(0, 2),
+                    [&order, &plain_pending, tag] {
+                      order.push_back(tag);
+                      --plain_pending;
+                    });
+    } else {
+      s.run_one();
+    }
+    if (use_fifo) {
+      EXPECT_EQ(s.pending(), plain_pending + (fifo.empty() ? 0u : 1u))
+          << "step " << step;
+    }
+  }
+  s.run_all();
+  EXPECT_TRUE(fifo.empty());
+  return order;
+}
+
+TEST(TimedFifo, DispatchesLikeOneEventPerValue) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const std::vector<int> fifo = fifo_dispatch_order(seed, true);
+    const std::vector<int> per_value = fifo_dispatch_order(seed, false);
+    ASSERT_GT(fifo.size(), 2000u);
+    EXPECT_EQ(fifo, per_value) << "seed " << seed;
+  }
 }
 
 TEST(Simulator, AfterSchedulesRelativeToNow) {
