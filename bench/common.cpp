@@ -21,12 +21,9 @@ exp::RunnerOptions Options::runner_options() const {
   r.jobs = resolved_jobs();
   r.progress = (r.jobs > 1 || replicates > 1) && isatty(fileno(stderr));
   r.timeout_seconds = run_timeout;
-  r.max_retries = retries;
   if (isolate) {
     r.isolate = true;
     r.crash_dir = crash_dir;
-    r.isolate_cpu_seconds = isolate_cpu;
-    r.isolate_mem_mb = isolate_mem_mb;
   }
   return r;
 }
@@ -75,12 +72,6 @@ Options parse_options(int argc, char** argv) {
         std::fprintf(stderr, "--timeout must be >= 0 (0 = off)\n");
         std::exit(2);
       }
-    } else if (arg == "--retries") {
-      opt.retries = std::atoi(next_raw("--retries"));
-      if (opt.retries < 0) {
-        std::fprintf(stderr, "--retries must be >= 0\n");
-        std::exit(2);
-      }
     } else if (arg == "--smoke") {
       opt.smoke = true;
     } else if (arg == "--chaos") {
@@ -106,36 +97,23 @@ Options parse_options(int argc, char** argv) {
       opt.isolate = true;
     } else if (arg == "--crash-dir") {
       opt.crash_dir = next_raw("--crash-dir");
-    } else if (arg == "--isolate-cpu") {
-      opt.isolate_cpu = next_value("--isolate-cpu");
-      if (opt.isolate_cpu < 0.0) {
-        std::fprintf(stderr, "--isolate-cpu must be >= 0 (0 = unlimited)\n");
-        std::exit(2);
-      }
     } else if (arg == "--trajectory") {
       opt.trajectory_path = next_raw("--trajectory");
-    } else if (arg == "--isolate-mem") {
-      const long long mb = std::atoll(next_raw("--isolate-mem"));
-      if (mb < 0) {
-        std::fprintf(stderr, "--isolate-mem must be >= 0 (0 = unlimited)\n");
-        std::exit(2);
-      }
-      opt.isolate_mem_mb = static_cast<std::size_t>(mb);
     } else if (arg == "--help" || arg == "-h") {
       std::printf(
           "usage: %s [--full] [--seed N] [--duration S] [--warmup S]\n"
           "          [--jobs N] [--replicates R] [--json PATH]\n"
-          "          [--timeout S] [--retries N] [--smoke]\n"
+          "          [--timeout S] [--smoke]\n"
           "          [--chaos] [--chaos-cases N]\n"
           "          [--record-journal DIR] [--replay PATH]\n"
           "          [--checkpoint-events N] [--isolate] [--crash-dir DIR]\n"
-          "          [--isolate-cpu S] [--isolate-mem MB] [--trajectory PATH]\n"
+          "          [--trajectory PATH]\n"
           "  --full        paper-length run (3000 s, statistics after 100 s)\n"
           "  --jobs N      run cases/replicates on N threads (0 = hardware)\n"
           "  --replicates R  repeat each case R times with derived seeds\n"
           "  --json PATH   write machine-readable results.json\n"
-          "  --timeout S   per-run wall-clock limit; overdue runs fail (0 = off)\n"
-          "  --retries N   extra attempts for transiently failing runs\n"
+          "  --timeout S   per-run wall-clock limit: each run is forked and\n"
+          "                killed at the deadline (0 = off)\n"
           "  --smoke       CI-sized quick pass (bench-specific reduction)\n"
           "  --chaos       randomized adversary/impairment soak (supported benches)\n"
           "  --chaos-cases N  chaos scenarios per defense arm (default 12)\n"
@@ -144,8 +122,6 @@ Options parse_options(int argc, char** argv) {
           "  --checkpoint-events N  checkpoint cadence in dispatches\n"
           "  --isolate     fork-sandbox every run; crashes are contained\n"
           "  --crash-dir DIR  crash reports + journals (default results/crashes)\n"
-          "  --isolate-cpu S  RLIMIT_CPU per isolated run (0 = unlimited)\n"
-          "  --isolate-mem MB  RLIMIT_AS per isolated run (0 = unlimited)\n"
           "  --trajectory PATH  write a run-health JSON snapshot to PATH\n",
           argv[0]);
       std::exit(0);

@@ -27,8 +27,7 @@ struct Options {
   int jobs = 1;            // --jobs N; 0 = hardware concurrency
   int replicates = 1;      // --replicates R; seeds derived per replicate
   std::string json_path;   // --json PATH; empty = no JSON output
-  double run_timeout = 0.0;  // --timeout S; per-run wall-clock limit, 0 = off
-  int retries = 0;           // --retries N; extra attempts on TransientError
+  double run_timeout = 0.0;  // --timeout S; per-run wall-clock kill, 0 = off
   bool smoke = false;        // --smoke; CI-sized quick pass (bench-defined)
   /// Chaos/soak mode (benches that support it, e.g. bench_adversary): each
   /// replicate draws a randomized adversary + impairment scenario from its
@@ -43,8 +42,6 @@ struct Options {
   std::uint64_t checkpoint_events = 20000;  // --checkpoint-events N
   bool isolate = false;            // --isolate; fork-sandbox every run
   std::string crash_dir = "results/crashes";  // --crash-dir DIR
-  double isolate_cpu = 0.0;        // --isolate-cpu S; RLIMIT_CPU per run
-  std::size_t isolate_mem_mb = 0;  // --isolate-mem MB; RLIMIT_AS per run
 
   /// --trajectory PATH: after the run, write a one-object JSON snapshot of
   /// the bench's health metrics (throughput, peak RSS, fairness minima) to
@@ -67,7 +64,7 @@ struct Options {
 };
 
 /// Parses --full, --seed N, --duration S, --warmup S, --jobs N,
-/// --replicates R, --json PATH, --timeout S, --retries N, --smoke.
+/// --replicates R, --json PATH, --timeout S, --smoke.
 /// Unknown flags abort with a usage message.
 Options parse_options(int argc, char** argv);
 

@@ -11,9 +11,7 @@
 // bench transcripts stay byte-compatible with the pre-runner format).
 #pragma once
 
-#include <cstddef>
 #include <functional>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -24,18 +22,9 @@ namespace rlacast::exp {
 
 /// Scenario closure: maps a RunSpec to its metric rows. Must be callable
 /// concurrently from multiple threads (capture shared state const-only).
+/// A run may execute in a forked child (see RunnerOptions::timeout_seconds),
+/// so anything it writes outside its returned Metrics may be lost.
 using RunFn = std::function<Metrics(const RunSpec&)>;
-
-/// A run failure worth retrying (resource exhaustion, racy I/O, anything
-/// that may succeed on a second attempt).  Deterministic exceptions — a bad
-/// parameter, an invariant violation, sim::WatchdogTimeout — would fail
-/// identically every attempt, so only this type triggers the runner's
-/// retry-with-backoff path.
-class TransientError : public std::runtime_error {
- public:
-  explicit TransientError(const std::string& what)
-      : std::runtime_error(what) {}
-};
 
 struct RunnerOptions {
   int jobs = 1;           // worker threads; clamped to [1, #runs]
@@ -45,30 +34,22 @@ struct RunnerOptions {
   /// default) disables.  Long chaos soaks otherwise look hung between
   /// per-run completion lines.
   double heartbeat_seconds = 0.0;
-  /// Per-run wall-clock limit in seconds; 0 disables.  A run exceeding it
-  /// is recorded as failed ("timeout after N s", timed_out = true) and the
-  /// rest of the batch proceeds.  The overdue run's thread is abandoned
-  /// (detached) — threads cannot be killed portably — so run_fn must not
-  /// hold locks the remaining runs need.  Timeouts are never retried.
+  /// Per-run wall-clock limit in seconds; 0 disables.  A deadline needs a
+  /// process that can be killed, so a positive limit runs every spec in a
+  /// forked child (exp/sandbox.hpp), SIGKILLed at the deadline.  An overdue
+  /// run is recorded as failed ("timeout after N s", timed_out = true) and
+  /// the rest of the batch proceeds.
   double timeout_seconds = 0.0;
-  /// Extra attempts (beyond the first) for runs failing with a
-  /// TransientError.  Deterministic exceptions are not retried.
-  int max_retries = 0;
-  /// Sleep before retry attempt k is backoff * 2^(k-1) seconds.
-  double retry_backoff_seconds = 0.05;
 
   // --- crash isolation (see exp/sandbox.hpp) ------------------------------
-  /// Run every spec in a forked child process.  A child killed by
-  /// SIGSEGV/SIGABRT/OOM (or dying any other abnormal way) becomes a
-  /// crashed=true row — with a crash report when crash_dir is set — and the
-  /// sweep continues.  timeout_seconds applies per child (SIGKILL).
+  /// Run every spec in a forked child process even without a deadline.  A
+  /// child killed by SIGSEGV/SIGABRT/OOM (or dying any other abnormal way)
+  /// becomes a crashed=true row — with a crash report when crash_dir is
+  /// set — and the sweep continues.  Forked runs under timeout_seconds get
+  /// the same containment.
   bool isolate = false;
   /// Directory for crash report files ("" = don't write reports).
   std::string crash_dir;
-  /// RLIMIT_CPU per isolated run, seconds; 0 = unlimited.
-  double isolate_cpu_seconds = 0.0;
-  /// RLIMIT_AS per isolated run, MiB; 0 = unlimited.
-  std::size_t isolate_mem_mb = 0;
   /// Extra lines for a crash report (journal path, last checkpoint id, the
   /// exact `bench_X --replay <journal>` repro command).  Called in the
   /// parent after the crash, so it may inspect files the dead child left.

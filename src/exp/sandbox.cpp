@@ -1,16 +1,15 @@
 #include "exp/sandbox.hpp"
 
-#include "exp/runner.hpp"
-
 #include <cerrno>
 #include <chrono>
-#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <exception>
+#include <mutex>
 
 #include <poll.h>
 #include <signal.h>
-#include <sys/resource.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -79,13 +78,12 @@ bool get_str(const std::string& in, std::size_t& pos, std::string& s) {
   return true;
 }
 
-/// Serializes one attempt outcome for the pipe.
-std::string encode_payload(bool ok, bool transient, const std::string& error,
+/// Serializes one run's outcome for the pipe.
+std::string encode_payload(bool ok, const std::string& error,
                            const Metrics& metrics) {
   std::string out;
   put_u32(out, kPayloadMagic);
   out += ok ? '\1' : '\0';
-  out += transient ? '\1' : '\0';
   put_str(out, error);
   put_u32(out, static_cast<std::uint32_t>(metrics.rows().size()));
   for (const auto& [name, value] : metrics.rows()) {
@@ -102,9 +100,8 @@ bool decode_payload(const std::string& in, IsolateOutcome& out) {
   std::size_t pos = 0;
   std::uint32_t magic = 0;
   if (!get_u32(in, pos, magic) || magic != kPayloadMagic) return false;
-  if (pos + 2 > in.size()) return false;
+  if (pos + 1 > in.size()) return false;
   out.ok = in[pos++] != '\0';
-  out.transient = in[pos++] != '\0';
   std::uint32_t nmetrics = 0;
   if (!get_str(in, pos, out.error) || !get_u32(in, pos, nmetrics))
     return false;
@@ -119,59 +116,45 @@ bool decode_payload(const std::string& in, IsolateOutcome& out) {
          pos == in.size();
 }
 
-void apply_limits(const IsolateLimits& limits) {
-  if (limits.cpu_seconds > 0.0) {
-    const auto secs =
-        static_cast<rlim_t>(std::ceil(limits.cpu_seconds));
-    struct rlimit rl;
-    rl.rlim_cur = secs;
-    rl.rlim_max = secs + 1;  // hard SIGKILL one second after the SIGXCPU
-    ::setrlimit(RLIMIT_CPU, &rl);
-  }
-  if (limits.memory_mb > 0) {
-    struct rlimit rl;
-    rl.rlim_cur = static_cast<rlim_t>(limits.memory_mb) * 1024 * 1024;
-    rl.rlim_max = rl.rlim_cur;
-    ::setrlimit(RLIMIT_AS, &rl);
-  }
-}
-
 }  // namespace
 
 std::string IsolateOutcome::describe() const {
   char buf[128];
-  if (timed_out) {
-    std::snprintf(buf, sizeof(buf), "isolated run timed out (SIGKILL)");
-  } else if (term_signal != 0) {
+  if (term_signal != 0) {
     const char* name = ::strsignal(term_signal);
     std::snprintf(buf, sizeof(buf), "killed by signal %d (%s)", term_signal,
                   name != nullptr ? name : "?");
-  } else if (!completed) {
+  } else {
     std::snprintf(buf, sizeof(buf), "exited %d without a result payload",
                   exit_code);
-  } else {
-    std::snprintf(buf, sizeof(buf), "completed");
   }
   return buf;
 }
 
 IsolateOutcome run_isolated(const IsolatedRunFn& fn, const RunSpec& spec,
-                            const IsolateLimits& limits,
                             double timeout_seconds) {
   IsolateOutcome out;
   int fds[2];
-  if (::pipe(fds) != 0) {
-    out.error = "pipe() failed";
-    return out;
+  pid_t pid = -1;
+  {
+    // Runs fork from several worker threads. Until the parent closes this
+    // pipe's write end, a concurrent fork would copy it into another child,
+    // and this run would see no EOF (or its deadline) until that child exits.
+    static std::mutex fork_mu;
+    std::lock_guard<std::mutex> lock(fork_mu);
+    if (::pipe(fds) != 0) {
+      out.error = "pipe() failed";
+      return out;
+    }
+    // Buffered stdio must be flushed pre-fork or the child's exit (and any
+    // crash-handler output) replays the parent's pending bytes.
+    std::fflush(stdout);
+    std::fflush(stderr);
+    pid = ::fork();
+    if (pid != 0) ::close(fds[1]);
   }
-  // Buffered stdio must be flushed pre-fork or the child's exit (and any
-  // crash-handler output) replays the parent's pending bytes.
-  std::fflush(stdout);
-  std::fflush(stderr);
-  const pid_t pid = ::fork();
   if (pid < 0) {
     ::close(fds[0]);
-    ::close(fds[1]);
     out.error = "fork() failed";
     return out;
   }
@@ -179,23 +162,18 @@ IsolateOutcome run_isolated(const IsolatedRunFn& fn, const RunSpec& spec,
   if (pid == 0) {
     // ---- child ----
     ::close(fds[0]);
-    apply_limits(limits);
     bool ok = false;
-    bool transient = false;
     std::string error;
     Metrics metrics;
     try {
       metrics = fn(spec);
       ok = true;
-    } catch (const TransientError& e) {
-      transient = true;
-      error = e.what();
     } catch (const std::exception& e) {
       error = e.what();
     } catch (...) {
       error = "unknown exception";
     }
-    const std::string payload = encode_payload(ok, transient, error, metrics);
+    const std::string payload = encode_payload(ok, error, metrics);
     write_all(fds[1], payload.data(), payload.size());
     ::close(fds[1]);
     std::fflush(nullptr);
@@ -203,7 +181,6 @@ IsolateOutcome run_isolated(const IsolatedRunFn& fn, const RunSpec& spec,
   }
 
   // ---- parent ----
-  ::close(fds[1]);
   std::string payload;
   const auto t0 = std::chrono::steady_clock::now();
   bool killed = false;

@@ -1,10 +1,13 @@
-// Fork-based crash isolation for experiment runs (POSIX only).
+// Fork-based run isolation for experiment runs (POSIX only).
 //
-// run_isolated() executes one run in a forked child under rlimit caps and
-// reads the outcome back over a pipe. The contract is that NOTHING the run
-// does — SIGSEGV, SIGABRT, an OOM kill, an rlimit CPU overrun, a silent
-// _exit — can take the sweep down: the parent classifies whatever the child
-// did and returns a structured IsolateOutcome.
+// run_isolated() executes one run in a forked child and reads the outcome
+// back over a pipe. It is the runner's only way to bound a run: past the
+// deadline the parent SIGKILLs the child, so an overdue run stops using CPU
+// and memory, and cannot write anything after its row says timed_out. The
+// contract is that NOTHING the run does — SIGSEGV, SIGABRT, an OOM kill, a
+// silent _exit, overrunning its deadline — can take the sweep down: the
+// parent classifies whatever the child did and returns a structured
+// IsolateOutcome.
 //
 // Crash detection is deliberately payload-based: a child that died without
 // delivering a *complete* result payload crashed, whether it was killed by
@@ -13,14 +16,13 @@
 // deadline the child is SIGKILLed and the outcome says timed_out, not
 // crashed.
 //
-// Caveats, recorded here because they are caveats of fork(), not of this
+// Caveat, recorded here because it is a caveat of fork(), not of this
 // wrapper: the child of a multi-threaded parent must not depend on other
-// threads' locks (run_fn must be self-contained, which the Runner's
-// determinism contract already demands), and RLIMIT_AS caps are unreliable
-// under AddressSanitizer's shadow-memory reservations (tests gate on it).
+// threads' locks, and whatever it writes to memory stays in the child
+// (run_fn must be self-contained, which the Runner's determinism contract
+// already demands).
 #pragma once
 
-#include <cstddef>
 #include <functional>
 #include <string>
 
@@ -29,40 +31,31 @@
 
 namespace rlacast::exp {
 
-// Runner's RunFn type, re-declared to avoid a circular include with
-// runner.hpp (which includes this header for its options).
+// Runner's RunFn type, re-declared so this header stands without
+// runner.hpp.
 using IsolatedRunFn = std::function<Metrics(const RunSpec&)>;
-
-struct IsolateLimits {
-  /// RLIMIT_CPU for the child, seconds (rounded up); 0 = unlimited.
-  double cpu_seconds = 0.0;
-  /// RLIMIT_AS for the child, MiB; 0 = unlimited.
-  std::size_t memory_mb = 0;
-};
 
 struct IsolateOutcome {
   bool completed = false;  // child delivered a full result payload
-  bool crashed = false;    // died without one (signal, abort, OOM, rlimit)
+  bool crashed = false;    // died without one (signal, abort, OOM)
   bool timed_out = false;  // parent deadline hit; child was SIGKILLed
   int term_signal = 0;     // terminating signal when the child was signaled
   int exit_code = -1;      // exit status when the child exited
   // Result payload, valid when completed:
   bool ok = false;
-  bool transient = false;  // failure was a TransientError (retryable)
   Metrics metrics;
   std::string error;
 
-  /// One-line human description of a non-completed outcome
-  /// ("killed by signal 11 (SIGSEGV)", "exited 1 without a result").
+  /// One-line human description of a crash ("killed by signal 11
+  /// (SIGSEGV)", "exited 1 without a result payload").
   std::string describe() const;
 };
 
-/// Runs `fn(spec)` in a forked child under `limits`, waiting at most
-/// `timeout_seconds` (0 = forever). Exceptions inside the child are caught
-/// there and travel back as ok=false payloads, exactly like the in-process
-/// path; only abnormal death reports crashed=true.
+/// Runs `fn(spec)` in a forked child, waiting at most `timeout_seconds`
+/// (0 = forever) before SIGKILLing it. Exceptions inside the child are
+/// caught there and travel back as ok=false payloads, exactly like the
+/// in-process path; only abnormal death reports crashed=true.
 IsolateOutcome run_isolated(const IsolatedRunFn& fn, const RunSpec& spec,
-                            const IsolateLimits& limits,
                             double timeout_seconds);
 
 }  // namespace rlacast::exp

@@ -12,11 +12,7 @@ void Watchdog::add_check(std::string name,
   checks_.emplace_back(std::move(name), std::move(check));
 }
 
-void Watchdog::set_wall_limit(double seconds) { wall_limit_ = seconds; }
-
 void Watchdog::start() {
-  started_ = true;
-  wall_start_ = std::chrono::steady_clock::now();
   last_dispatched_ = sim_.scheduler().counters().dispatched;
   sim_.after(period_, [this] { tick(); });
 }
@@ -30,19 +26,6 @@ void Watchdog::record(const std::string& check, const std::string& detail) {
 
 void Watchdog::tick() {
   ++ticks_;
-
-  if (wall_limit_ > 0.0) {
-    const double elapsed =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      wall_start_)
-            .count();
-    if (elapsed > wall_limit_) {
-      throw WatchdogTimeout("watchdog: wall-clock limit of " +
-                            std::to_string(wall_limit_) +
-                            " s exceeded at simulated t=" +
-                            std::to_string(sim_.now()));
-    }
-  }
 
   for (const auto& [name, check] : checks_) {
     const std::string detail = check();

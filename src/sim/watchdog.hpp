@@ -6,35 +6,25 @@
 // (with the simulated time they were observed) rather than thrown, so a run
 // completes and the caller can report every invariant that broke.
 //
-// Two built-in facilities guard against the failure mode invariant checks
-// cannot express from inside a wedged simulation:
-//  * event-horizon progress — if the engine dispatches (almost) nothing
-//    across several consecutive ticks while events are still pending, the
-//    simulation is livelocked and a violation is recorded;
-//  * wall-clock limit — set_wall_limit() arms a real-time budget checked at
-//    every tick; exceeding it throws WatchdogTimeout out of the event loop,
-//    giving the experiment runner a cooperative in-process timeout for runs
-//    that are slow but still dispatching (the runner's detached-thread
-//    timeout remains the backstop for truly wedged runs).
+// A built-in event-horizon progress check guards against the failure mode
+// invariant checks cannot express from inside a wedged simulation: if the
+// engine dispatches (almost) nothing across several consecutive ticks while
+// events are still pending, the simulation is livelocked and a violation is
+// recorded.  The watchdog reads simulated time only; bounding a run's wall
+// time is the experiment runner's job (exp::RunnerOptions::timeout_seconds
+// kills the run's process at the deadline).
 #pragma once
 
-#include <chrono>
+#include <cstdint>
 #include <functional>
-#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
 
 namespace rlacast::sim {
-
-/// Thrown from a watchdog tick when the wall-clock budget is exhausted.
-class WatchdogTimeout : public std::runtime_error {
- public:
-  explicit WatchdogTimeout(const std::string& what)
-      : std::runtime_error(what) {}
-};
 
 class Watchdog {
  public:
@@ -52,10 +42,6 @@ class Watchdog {
   /// registration order.  A check that keeps failing is recorded once per
   /// distinct detail string (no flooding).
   void add_check(std::string name, std::function<std::string()> check);
-
-  /// Arms a real-time budget for the run; exceeding it makes the next tick
-  /// throw WatchdogTimeout.  0 disables (default).
-  void set_wall_limit(double seconds);
 
   /// Number of consecutive no-progress ticks (engine dispatching <= 1 event
   /// per tick while events remain pending) tolerated before the built-in
@@ -81,13 +67,10 @@ class Watchdog {
   SimTime period_;
   std::vector<std::pair<std::string, std::function<std::string()>>> checks_;
   std::vector<Violation> violations_;
-  double wall_limit_ = 0.0;
-  std::chrono::steady_clock::time_point wall_start_{};
   int progress_grace_ = 5;
   int stalled_ticks_ = 0;
   std::uint64_t last_dispatched_ = 0;
   std::uint64_t ticks_ = 0;
-  bool started_ = false;
 };
 
 }  // namespace rlacast::sim

@@ -1,9 +1,11 @@
 // Tests for the fork-based crash sandbox (exp/sandbox.hpp) and its runner
-// integration (--isolate): a SIGSEGV'd run becomes a contained crashed=true
-// row with a crash report while the sweep completes; timeouts are SIGKILLed
-// and classified separately; rlimits bound runaway children; and the
-// timeout claimed-flag handoff never lets an abandoned attempt publish.
+// integration (--isolate, --timeout): a SIGSEGV'd run becomes a contained
+// crashed=true row with a crash report while the sweep completes; timeouts
+// are SIGKILLed and classified separately; and an overdue run is killed, so
+// nothing it would do after its deadline ever happens.
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <chrono>
 #include <csignal>
@@ -64,6 +66,18 @@ std::string read_file(const std::string& path) {
   return out;
 }
 
+/// Write ends of pipes this process holds, stdio excluded.
+int pipe_write_ends() {
+  int n = 0;
+  for (int fd = 3; fd < 1024; ++fd) {
+    struct stat st;
+    if (::fstat(fd, &st) == 0 && S_ISFIFO(st.st_mode) &&
+        (::fcntl(fd, F_GETFL) & O_ACCMODE) == O_WRONLY)
+      ++n;
+  }
+  return n;
+}
+
 TEST(Sandbox, CompletedRunDeliversMetricsThroughThePipe) {
 #ifdef RLACAST_SANITIZED
   GTEST_SKIP() << "fork sandbox is incompatible with sanitizer runtimes";
@@ -72,7 +86,7 @@ TEST(Sandbox, CompletedRunDeliversMetricsThroughThePipe) {
   spec.name = "ok";
   spec.seed = 99;
   const exp::IsolateOutcome out =
-      exp::run_isolated(crashy_scenario, spec, {}, /*timeout_seconds=*/0.0);
+      exp::run_isolated(crashy_scenario, spec, /*timeout_seconds=*/0.0);
   EXPECT_TRUE(out.completed);
   EXPECT_TRUE(out.ok);
   EXPECT_FALSE(out.crashed);
@@ -89,7 +103,7 @@ TEST(Sandbox, ChildExceptionBecomesErrorNotCrash) {
       [](const exp::RunSpec&) -> exp::Metrics {
         throw std::runtime_error("bad parameter");
       },
-      spec, {}, 0.0);
+      spec, 0.0);
   EXPECT_TRUE(out.completed);
   EXPECT_FALSE(out.ok);
   EXPECT_FALSE(out.crashed);
@@ -104,7 +118,7 @@ TEST(Sandbox, SigsegvIsContainedAndClassified) {
   spec.name = "boom";
   spec.point.set("mode", "segv");
   const exp::IsolateOutcome out =
-      exp::run_isolated(crashy_scenario, spec, {}, 0.0);
+      exp::run_isolated(crashy_scenario, spec, 0.0);
   EXPECT_FALSE(out.completed);
   EXPECT_TRUE(out.crashed);
   EXPECT_FALSE(out.timed_out);
@@ -119,29 +133,10 @@ TEST(Sandbox, TimeoutIsKilledAndClassifiedSeparately) {
   exp::RunSpec spec;
   spec.point.set("mode", "spin");
   const exp::IsolateOutcome out =
-      exp::run_isolated(crashy_scenario, spec, {}, /*timeout_seconds=*/0.3);
+      exp::run_isolated(crashy_scenario, spec, /*timeout_seconds=*/0.3);
   EXPECT_TRUE(out.timed_out);
   EXPECT_FALSE(out.completed);
   EXPECT_FALSE(out.crashed);
-}
-
-TEST(Sandbox, CpuRlimitKillsARunawayChild) {
-#ifdef RLACAST_SANITIZED
-  GTEST_SKIP() << "fork sandbox is incompatible with sanitizer runtimes";
-#endif
-  exp::RunSpec spec;
-  exp::IsolateLimits limits;
-  limits.cpu_seconds = 1.0;
-  const exp::IsolateOutcome out = exp::run_isolated(
-      [](const exp::RunSpec&) -> exp::Metrics {
-        volatile double x = 0.0;
-        for (;;) x += 1.0;  // pure CPU burn, no sleeps
-      },
-      spec, limits, /*timeout_seconds=*/30.0);
-  EXPECT_TRUE(out.crashed);
-  EXPECT_FALSE(out.timed_out);
-  EXPECT_TRUE(out.term_signal == SIGXCPU || out.term_signal == SIGKILL)
-      << out.describe();
 }
 
 TEST(IsolateRunner, CrashedRunIsContainedAndSweepCompletes) {
@@ -196,42 +191,98 @@ TEST(IsolateRunner, NoCrashDirMeansNoReportButStillContained) {
 #ifdef RLACAST_SANITIZED
   GTEST_SKIP() << "fork sandbox is incompatible with sanitizer runtimes";
 #endif
-  exp::RunnerOptions opts;
-  opts.isolate = true;  // crash_dir left empty
-  exp::Runner runner(opts);
-  const exp::Results results = runner.run(crashy_grid(), crashy_scenario);
-  ASSERT_EQ(results.runs().size(), 3u);
-  EXPECT_TRUE(results.runs()[1].crashed);
-  EXPECT_TRUE(results.runs()[1].crash_report.empty());
-  EXPECT_TRUE(results.runs()[2].ok);
+  // --isolate without a crash dir, and a deadline alone (which forks too):
+  // either way the crash is contained and no report is written.
+  for (const bool isolate : {true, false}) {
+    SCOPED_TRACE(isolate ? "isolate" : "timeout");
+    exp::RunnerOptions opts;
+    opts.isolate = isolate;  // crash_dir left empty
+    opts.timeout_seconds = isolate ? 0.0 : 60.0;
+    exp::Runner runner(opts);
+    const exp::Results results = runner.run(crashy_grid(), crashy_scenario);
+    ASSERT_EQ(results.runs().size(), 3u);
+    EXPECT_TRUE(results.runs()[1].crashed);
+    EXPECT_TRUE(results.runs()[1].crash_report.empty());
+    EXPECT_TRUE(results.runs()[2].ok);
+  }
 }
 
-TEST(RunnerTimeout, AbandonedAttemptCannotPublishAfterTheClaim) {
-  // Regression for the detached-thread handoff: an attempt finishing AFTER
-  // the waiter timed out must never overwrite the timeout row. The worker
-  // sleeps past the limit, then "finishes" — the claimed flag makes its
-  // publish a no-op.
+TEST(IsolateRunner, OverdueRunIsKilledNotAbandoned) {
+#ifdef RLACAST_SANITIZED
+  GTEST_SKIP() << "fork sandbox is incompatible with sanitizer runtimes";
+#endif
+  // The slow run sleeps past its deadline, then would write a marker file
+  // and return metrics. A deadline forks the run and SIGKILLs it, so
+  // neither ever happens, and its neighbours finish on the other worker.
+  const std::string marker = testing::TempDir() + "/overdue_run_marker";
+  std::filesystem::remove(marker);
+  const auto sleep = std::chrono::seconds(3);
   exp::Grid g;
-  g.master_seed(1).replicates(1);
+  g.master_seed(4).replicates(1);
   g.add_case("slow");
+  g.add_case("fine-1");
+  g.add_case("fine-2");
   exp::RunnerOptions opts;
-  opts.timeout_seconds = 0.05;
-  exp::Runner runner(opts);
+  opts.jobs = 2;
+  opts.timeout_seconds = 1.5;
+  const auto t0 = std::chrono::steady_clock::now();
   const exp::Results results =
-      runner.run(g, [](const exp::RunSpec&) -> exp::Metrics {
-        std::this_thread::sleep_for(std::chrono::milliseconds(300));
+      exp::Runner(opts).run(g, [&](const exp::RunSpec& spec) {
+        if (spec.name == "slow") {
+          std::this_thread::sleep_for(sleep);
+          if (std::FILE* f = std::fopen(marker.c_str(), "w")) std::fclose(f);
+        }
+        return crashy_scenario(spec);
+      });
+
+  ASSERT_EQ(results.runs().size(), 3u);
+  const exp::RunResult& slow = results.runs()[0];
+  EXPECT_FALSE(slow.ok);
+  EXPECT_TRUE(slow.timed_out);
+  EXPECT_FALSE(slow.crashed);
+  EXPECT_TRUE(slow.metrics.empty());
+  EXPECT_NE(slow.error.find("timeout"), std::string::npos) << slow.error;
+  for (std::size_t i = 1; i < 3; ++i) {
+    const exp::RunResult& fine = results.runs()[i];
+    EXPECT_TRUE(fine.ok) << fine.spec.id() << ": " << fine.error;
+    EXPECT_FALSE(fine.timed_out);
+    EXPECT_DOUBLE_EQ(fine.metrics.get("value", 0.0),
+                     static_cast<double>(fine.spec.seed));
+  }
+  const std::string json = results.to_json("unit", 4, 1, 2, 0.0);
+  EXPECT_NE(json.find("\"timed_out\":true"), std::string::npos);
+
+  // Wait until well after the sleeper would have woken: a run that was only
+  // abandoned would have written the marker by now.
+  std::this_thread::sleep_until(t0 + sleep + std::chrono::seconds(2));
+  EXPECT_FALSE(std::filesystem::exists(marker));
+}
+
+TEST(IsolateRunner, EachChildHoldsOnlyItsOwnResultPipe) {
+#ifdef RLACAST_SANITIZED
+  GTEST_SKIP() << "fork sandbox is incompatible with sanitizer runtimes";
+#endif
+  // Runs fork from several workers at once. A child that also held another
+  // run's write end would keep that run's pipe open after it exited, so the
+  // other run's parent would see no EOF until this child was gone.
+  const int inherited = pipe_write_ends();
+  exp::Grid g;
+  g.master_seed(5).replicates(1);
+  for (int i = 0; i < 64; ++i) g.add_case("run-" + std::to_string(i));
+  exp::RunnerOptions opts;
+  opts.jobs = 4;
+  opts.isolate = true;
+  const exp::Results results =
+      exp::Runner(opts).run(g, [](const exp::RunSpec&) {
         exp::Metrics m;
-        m.set("late", 1.0);
+        m.set("pipe_write_ends", pipe_write_ends());
         return m;
       });
-  ASSERT_EQ(results.runs().size(), 1u);
-  EXPECT_TRUE(results.runs()[0].timed_out);
-  EXPECT_FALSE(results.runs()[0].ok);
-  // Give the abandoned thread time to finish and (incorrectly) publish —
-  // the result row must stay a timeout with no metrics.
-  std::this_thread::sleep_for(std::chrono::milliseconds(400));
-  EXPECT_TRUE(results.runs()[0].timed_out);
-  EXPECT_TRUE(results.runs()[0].metrics.empty());
+  for (const exp::RunResult& r : results.runs()) {
+    ASSERT_TRUE(r.ok) << r.spec.id() << ": " << r.error;
+    EXPECT_EQ(r.metrics.get("pipe_write_ends"), inherited + 1.0)
+        << r.spec.id();
+  }
 }
 
 }  // namespace
