@@ -3,10 +3,14 @@
 #include <sys/resource.h>
 #include <unistd.h>
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <system_error>
 #include <thread>
+#include <type_traits>
 
 namespace rlacast::bench {
 
@@ -28,6 +32,26 @@ exp::RunnerOptions Options::runner_options() const {
   return r;
 }
 
+namespace {
+
+/// Parses a whole flag value as a T; an empty value, trailing characters, a
+/// value out of T's range or a non-finite double exit 2.
+template <typename T>
+T parse_number(const char* flag, const char* text) {
+  T value{};
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  bool ok = ec == std::errc() && ptr == end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  if (!ok) {
+    std::fprintf(stderr, "invalid value for %s: '%s'\n", flag, text);
+    std::exit(2);
+  }
+  return value;
+}
+
+}  // namespace
+
 Options parse_options(int argc, char** argv) {
   Options opt;
   for (int i = 1; i < argc; ++i) {
@@ -39,27 +63,30 @@ Options parse_options(int argc, char** argv) {
       }
       return argv[++i];
     };
-    auto next_value = [&](const char* flag) -> double {
-      return std::atof(next_raw(flag));
+    auto next_double = [&](const char* flag) {
+      return parse_number<double>(flag, next_raw(flag));
+    };
+    auto next_int = [&](const char* flag) {
+      return parse_number<int>(flag, next_raw(flag));
     };
     if (arg == "--full") {
       opt.full = true;
       opt.duration = 3000.0;
       opt.warmup = 100.0;
     } else if (arg == "--seed") {
-      opt.seed = static_cast<std::uint64_t>(next_value("--seed"));
+      opt.seed = parse_number<std::uint64_t>("--seed", next_raw("--seed"));
     } else if (arg == "--duration") {
-      opt.duration = next_value("--duration");
+      opt.duration = next_double("--duration");
     } else if (arg == "--warmup") {
-      opt.warmup = next_value("--warmup");
+      opt.warmup = next_double("--warmup");
     } else if (arg == "--jobs") {
-      opt.jobs = std::atoi(next_raw("--jobs"));
+      opt.jobs = next_int("--jobs");
       if (opt.jobs < 0) {
         std::fprintf(stderr, "--jobs must be >= 0 (0 = hardware)\n");
         std::exit(2);
       }
     } else if (arg == "--replicates") {
-      opt.replicates = std::atoi(next_raw("--replicates"));
+      opt.replicates = next_int("--replicates");
       if (opt.replicates < 1) {
         std::fprintf(stderr, "--replicates must be >= 1\n");
         std::exit(2);
@@ -67,7 +94,7 @@ Options parse_options(int argc, char** argv) {
     } else if (arg == "--json") {
       opt.json_path = next_raw("--json");
     } else if (arg == "--timeout") {
-      opt.run_timeout = next_value("--timeout");
+      opt.run_timeout = next_double("--timeout");
       if (opt.run_timeout < 0.0) {
         std::fprintf(stderr, "--timeout must be >= 0 (0 = off)\n");
         std::exit(2);
@@ -77,7 +104,7 @@ Options parse_options(int argc, char** argv) {
     } else if (arg == "--chaos") {
       opt.chaos = true;
     } else if (arg == "--chaos-cases") {
-      opt.chaos_cases = std::atoi(next_raw("--chaos-cases"));
+      opt.chaos_cases = next_int("--chaos-cases");
       if (opt.chaos_cases < 1) {
         std::fprintf(stderr, "--chaos-cases must be >= 1\n");
         std::exit(2);
@@ -87,7 +114,8 @@ Options parse_options(int argc, char** argv) {
     } else if (arg == "--replay") {
       opt.replay_path = next_raw("--replay");
     } else if (arg == "--checkpoint-events") {
-      const long long n = std::atoll(next_raw("--checkpoint-events"));
+      const auto n = parse_number<long long>("--checkpoint-events",
+                                             next_raw("--checkpoint-events"));
       if (n < 0) {
         std::fprintf(stderr, "--checkpoint-events must be >= 0 (0 = final only)\n");
         std::exit(2);

@@ -64,8 +64,8 @@ struct Options {
 };
 
 /// Parses --full, --seed N, --duration S, --warmup S, --jobs N,
-/// --replicates R, --json PATH, --timeout S, --smoke.
-/// Unknown flags abort with a usage message.
+/// --replicates R, --json PATH, --timeout S, --smoke and the flags above.
+/// Unknown flags and malformed or out-of-range values exit 2.
 Options parse_options(int argc, char** argv);
 
 /// Adds the RLA row block of Figures 7/9 (one column per case) to a table.
