@@ -3,6 +3,7 @@
 #include <sys/resource.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -301,10 +302,14 @@ bool finish_grid_output(
 }
 
 double peak_rss_mib() {
-  struct rusage ru {};
-  if (getrusage(RUSAGE_SELF, &ru) != 0) return 0.0;
-  // Linux reports ru_maxrss in kilobytes.
-  return static_cast<double>(ru.ru_maxrss) / 1024.0;
+  // Forked runs (--timeout, --isolate) live in reaped children, so take the
+  // larger of this process and its largest child. Linux reports ru_maxrss
+  // in kilobytes.
+  struct rusage self {}, children {};
+  getrusage(RUSAGE_SELF, &self);
+  getrusage(RUSAGE_CHILDREN, &children);
+  return static_cast<double>(std::max(self.ru_maxrss, children.ru_maxrss)) /
+         1024.0;
 }
 
 bool write_trajectory(

@@ -47,7 +47,9 @@ struct Options {
   /// the bench's health metrics (throughput, peak RSS, fairness minima) to
   /// PATH. tools/regen_results.sh points this at the repo-root
   /// BENCH_<name>.json files so their git history forms a per-PR
-  /// performance trajectory.
+  /// performance trajectory. Under --timeout or --isolate every run is a
+  /// forked child, so peak RSS is that of the largest single run, not the
+  /// sum of the runs that were alive at once.
   std::string trajectory_path;
 
   double measured_seconds() const { return duration - warmup; }
@@ -103,7 +105,8 @@ bool finish_grid_output(
     double wall_seconds,
     std::vector<std::pair<std::string, std::string>> spec_extra = {});
 
-/// Peak resident set size of this process so far, in MiB (ru_maxrss).
+/// Peak resident set size so far, in MiB (ru_maxrss): the larger of this
+/// process and its largest reaped child (a forked run).
 double peak_rss_mib();
 
 /// Writes the --trajectory snapshot: {"experiment", "config", "metrics"}
