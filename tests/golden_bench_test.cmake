@@ -8,7 +8,10 @@
 # sequences shows up as a hash mismatch.
 #
 # Usage (wired up by tests/CMakeLists.txt):
-#   cmake -DBENCH=<binary> -DGOLDEN=<hash file> -P golden_bench_test.cmake
+#   cmake -DBENCH=<binary> -DGOLDEN=<hash file> [-DARGS="<extra flags>"]
+#         -P golden_bench_test.cmake
+# ARGS (optional, space-separated) is appended after --smoke; the output
+# must still hash to the same golden.
 #
 # After an INTENTIONAL behaviour change, regenerate the hashes with
 # tools/regen_golden.sh and commit the diff alongside the change.
@@ -18,12 +21,14 @@ if(NOT DEFINED BENCH OR NOT DEFINED GOLDEN)
           "-P golden_bench_test.cmake")
 endif()
 
+separate_arguments(extra_args UNIX_COMMAND "${ARGS}")
 execute_process(
-  COMMAND ${BENCH} --smoke
+  COMMAND ${BENCH} --smoke ${extra_args}
   OUTPUT_VARIABLE bench_out
   RESULT_VARIABLE bench_rc)
 if(NOT bench_rc EQUAL 0)
-  message(FATAL_ERROR "${BENCH} --smoke exited with status ${bench_rc}")
+  message(FATAL_ERROR
+          "${BENCH} --smoke ${ARGS} exited with status ${bench_rc}")
 endif()
 
 string(SHA256 got "${bench_out}")
