@@ -258,6 +258,82 @@ TEST(IsolateRunner, OverdueRunIsKilledNotAbandoned) {
   EXPECT_FALSE(std::filesystem::exists(marker));
 }
 
+TEST(ExpRunner, WedgedRunIsKilledByTimeoutWithoutBlockingOthers) {
+#ifdef RLACAST_SANITIZED
+  GTEST_SKIP() << "fork sandbox is incompatible with sanitizer runtimes";
+#endif
+  // A run that never returns is SIGKILLed at its deadline, attempted once,
+  // and its neighbours finish on the other worker. Each attempt appends a
+  // byte to a file, since a forked run's writes to our memory are lost.
+  const std::string attempts = testing::TempDir() + "/wedged_run_attempts";
+  std::filesystem::remove(attempts);
+  exp::Grid g;
+  g.master_seed(4).replicates(1);
+  g.add_case("wedged", exp::Point{}.set("mode", "spin"));
+  g.add_case("fine-1");
+  g.add_case("fine-2");
+  exp::RunnerOptions opts;
+  opts.jobs = 2;
+  opts.timeout_seconds = 1.0;
+  const exp::Results results =
+      exp::Runner(opts).run(g, [&](const exp::RunSpec& spec) {
+        if (spec.name == "wedged") {
+          if (std::FILE* f = std::fopen(attempts.c_str(), "a")) {
+            std::fputc('x', f);
+            std::fclose(f);
+          }
+        }
+        return crashy_scenario(spec);
+      });
+
+  EXPECT_EQ(read_file(attempts), "x");  // killed, never retried
+  ASSERT_EQ(results.runs().size(), 3u);
+  EXPECT_EQ(results.num_errors(), 1u);
+  for (const exp::RunResult& r : results.runs()) {
+    if (r.spec.name == "wedged") {
+      EXPECT_FALSE(r.ok);
+      EXPECT_TRUE(r.timed_out);
+      EXPECT_FALSE(r.crashed);
+      EXPECT_NE(r.error.find("timeout"), std::string::npos) << r.error;
+    } else {
+      EXPECT_TRUE(r.ok) << r.spec.id() << ": " << r.error;
+      EXPECT_FALSE(r.timed_out);
+    }
+  }
+  const std::string json = results.to_json("unit", 4, 1, 2, 0.0);
+  EXPECT_NE(json.find("\"timed_out\":true"), std::string::npos);
+  std::filesystem::remove(attempts);
+}
+
+TEST(RunnerTimeout, AbandonedAttemptCannotPublishAfterTheClaim) {
+#ifdef RLACAST_SANITIZED
+  GTEST_SKIP() << "fork sandbox is incompatible with sanitizer runtimes";
+#endif
+  // Once the deadline has claimed the row, an attempt that would finish
+  // later must never turn it into a result: the run sleeps past the limit,
+  // then "finishes" with a metric, and the row stays a timeout with none.
+  exp::Grid g;
+  g.master_seed(1).replicates(1);
+  g.add_case("slow");
+  exp::RunnerOptions opts;
+  opts.timeout_seconds = 0.2;
+  const auto t0 = std::chrono::steady_clock::now();
+  const exp::Results results =
+      exp::Runner(opts).run(g, [](const exp::RunSpec&) -> exp::Metrics {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1500));
+        exp::Metrics m;
+        m.set("late", 1.0);
+        return m;
+      });
+  ASSERT_EQ(results.runs().size(), 1u);
+  EXPECT_TRUE(results.runs()[0].timed_out);
+  EXPECT_FALSE(results.runs()[0].ok);
+  // Wait until the attempt would have finished: the row stays a timeout.
+  std::this_thread::sleep_until(t0 + std::chrono::milliseconds(2000));
+  EXPECT_TRUE(results.runs()[0].timed_out);
+  EXPECT_TRUE(results.runs()[0].metrics.empty());
+}
+
 TEST(IsolateRunner, EachChildHoldsOnlyItsOwnResultPipe) {
 #ifdef RLACAST_SANITIZED
   GTEST_SKIP() << "fork sandbox is incompatible with sanitizer runtimes";
