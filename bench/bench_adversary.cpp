@@ -225,7 +225,7 @@ int main(int argc, char** argv) {
         // Both protections ride along: failover re-grafts what it can
         // (partitions), excision/re-admission owns the rest (crashes).
         cfg.backup_paths = true;
-        cfg.rla.degrade.enabled = true;
+        cfg.rla.degrade = true;
       }
     } else {
       cfg.gateway = spec.point.get("gw", "droptail") == "red"

@@ -192,7 +192,7 @@ int main(int argc, char** argv) {
         cfg.partitions.push_back(so);
       }
       cfg.backup_paths = true;
-      cfg.rla.degrade.enabled = true;
+      cfg.rla.degrade = true;
     } else {
       cfg.gateway = spec.point.get("gw", "droptail") == "red"
                         ? topo::GatewayType::kRed
@@ -206,7 +206,7 @@ int main(int argc, char** argv) {
       cfg.partitions.push_back(so);
       if (spec.point.get_double("prot", 0.0) > 0.0) {
         cfg.backup_paths = true;
-        cfg.rla.degrade.enabled = true;
+        cfg.rla.degrade = true;
       }
     }
 

@@ -6,10 +6,13 @@
 //   $ ./scenario_cli --receivers 9 --share 150 --gateway red --duration 300
 //   $ ./scenario_cli --receivers 4 --tcp-per-branch 2 --seed 7
 //   $ ./scenario_cli --help
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <type_traits>
 
 #include "model/formulas.hpp"
 #include "topo/flat_tree.hpp"
@@ -45,6 +48,22 @@ struct CliOptions {
   std::exit(code);
 }
 
+/// Parses the whole of `text` as a T (finite, for floating point); anything
+/// else exits 2.
+template <typename T>
+T parse_number(const char* flag, const char* text) {
+  T value{};
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  bool ok = ec == std::errc() && ptr == end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  if (!ok) {
+    std::fprintf(stderr, "invalid value for %s: '%s'\n", flag, text);
+    std::exit(2);
+  }
+  return value;
+}
+
 CliOptions parse(int argc, char** argv) {
   CliOptions o;
   for (int i = 1; i < argc; ++i) {
@@ -54,23 +73,29 @@ CliOptions parse(int argc, char** argv) {
       return argv[++i];
     };
     if (a == "--receivers")
-      o.receivers = std::atoi(value());
+      o.receivers = parse_number<int>("--receivers", value());
     else if (a == "--tcp-per-branch")
-      o.tcp_per_branch = std::atoi(value());
+      o.tcp_per_branch = parse_number<int>("--tcp-per-branch", value());
     else if (a == "--share")
-      o.share_pps = std::atof(value());
-    else if (a == "--gateway")
-      o.gateway = std::strcmp(value(), "red") == 0
-                      ? topo::GatewayType::kRed
-                      : topo::GatewayType::kDropTail;
-    else if (a == "--ecn")
+      o.share_pps = parse_number<double>("--share", value());
+    else if (a == "--gateway") {
+      const std::string g = value();
+      if (g == "red")
+        o.gateway = topo::GatewayType::kRed;
+      else if (g == "droptail")
+        o.gateway = topo::GatewayType::kDropTail;
+      else {
+        std::fprintf(stderr, "invalid value for --gateway: '%s'\n", g.c_str());
+        std::exit(2);
+      }
+    } else if (a == "--ecn")
       o.ecn = true;
     else if (a == "--duration")
-      o.duration = std::atof(value());
+      o.duration = parse_number<double>("--duration", value());
     else if (a == "--warmup")
-      o.warmup = std::atof(value());
+      o.warmup = parse_number<double>("--warmup", value());
     else if (a == "--seed")
-      o.seed = static_cast<std::uint64_t>(std::atoll(value()));
+      o.seed = parse_number<std::uint64_t>("--seed", value());
     else if (a == "--help" || a == "-h")
       usage(argv[0], 0);
     else

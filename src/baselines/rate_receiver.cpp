@@ -4,10 +4,17 @@
 
 namespace rlacast::baselines {
 
+namespace {
+
+constexpr sim::SimTime kMonitorPeriod = 1.0;  // one loss report per period
+constexpr double kLossEwmaGain = 0.25;
+
+}  // namespace
+
 RateReceiver::RateReceiver(net::Network& network, net::NodeId node,
                            net::PortId port, net::GroupId group,
                            net::NodeId sender_node, net::PortId sender_port,
-                           int id, RateReceiverParams params)
+                           int id)
     : network_(network),
       sim_(network.simulator()),
       node_(node),
@@ -16,9 +23,8 @@ RateReceiver::RateReceiver(net::Network& network, net::NodeId node,
       sender_node_(sender_node),
       sender_port_(sender_port),
       id_(id),
-      params_(params),
       report_timer_(sim_, [this] { emit_report(); }),
-      loss_(params.loss_ewma_gain) {
+      loss_(kLossEwmaGain) {
   network_.attach(node_, port_, this);
   network_.subscribe(group_, node_, this);
 }
@@ -55,13 +61,13 @@ void RateReceiver::emit_report() {
   rep.dst = sender_node_;
   rep.src_port = port_;
   rep.dst_port = sender_port_;
-  rep.size_bytes = params_.report_bytes;
+  rep.size_bytes = net::kAckPacketBytes;
   rep.receiver_id = id_;
   rep.report_loss_rate = loss_.initialized() ? loss_.value() : 0.0;
   rep.report_received = period_received_;
   network_.inject(rep);
 
-  report_timer_.schedule(params_.monitor_period);
+  report_timer_.schedule(kMonitorPeriod);
 }
 
 }  // namespace rlacast::baselines

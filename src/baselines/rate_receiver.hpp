@@ -13,18 +13,11 @@
 
 namespace rlacast::baselines {
 
-struct RateReceiverParams {
-  sim::SimTime monitor_period = 1.0;
-  double loss_ewma_gain = 0.25;
-  std::int32_t report_bytes = net::kAckPacketBytes;
-};
-
 class RateReceiver final : public net::Agent {
  public:
   RateReceiver(net::Network& network, net::NodeId node, net::PortId port,
                net::GroupId group, net::NodeId sender_node,
-               net::PortId sender_port, int id,
-               RateReceiverParams params = {});
+               net::PortId sender_port, int id);
 
   /// Starts the periodic reporting loop.
   void start_at(sim::SimTime when);
@@ -46,7 +39,6 @@ class RateReceiver final : public net::Agent {
   net::NodeId sender_node_;
   net::PortId sender_port_;
   int id_;
-  RateReceiverParams params_;
 
   sim::Timer report_timer_;  // next periodic loss report
   stats::Ewma loss_;

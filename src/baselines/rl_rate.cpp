@@ -2,10 +2,19 @@
 
 namespace rlacast::baselines {
 
+namespace {
+
+/// A receiver counts as congested when its reported EWMA loss rate exceeds
+/// this floor (loss measurement noise gate, not a tuned threshold: any
+/// small positive value works).
+constexpr double kLossFloor = 0.005;
+
+}  // namespace
+
 int RlRateSender::congested_count() const {
   int n = 0;
   for (double loss : reported_loss())
-    if (loss > loss_floor_) ++n;
+    if (loss > kLossFloor) ++n;
   return n;
 }
 

@@ -18,10 +18,6 @@ namespace rlacast::baselines {
 
 struct RlRateParams {
   RateSenderParams rate{};
-  /// A receiver counts as congested when its reported EWMA loss rate
-  /// exceeds this floor (loss measurement noise gate, not a tuned
-  /// threshold: any small positive value works).
-  double loss_floor = 0.005;
 };
 
 class RlRateSender final : public RateBasedSender {
@@ -29,7 +25,6 @@ class RlRateSender final : public RateBasedSender {
   RlRateSender(net::Network& network, net::NodeId node, net::PortId port,
                net::GroupId group, net::FlowId flow, RlRateParams params = {})
       : RateBasedSender(network, node, port, group, flow, params.rate),
-        loss_floor_(params.loss_floor),
         rng_(network.simulator().rng_stream("rl-rate-listen")) {}
 
   /// Receivers currently reporting loss above the floor.
@@ -39,7 +34,6 @@ class RlRateSender final : public RateBasedSender {
   bool should_cut() override;
 
  private:
-  double loss_floor_;
   sim::Rng rng_;
 };
 

@@ -4,11 +4,25 @@
 
 namespace rlacast::cc {
 
-BbrModel::BbrModel(BbrParams p)
-    : p_(p),
-      pace_(AimdRateParams{.initial_rate = p.initial_rate_pps,
-                           .min_rate = p.min_rate_pps,
-                           .max_rate = p.max_rate_pps,
+namespace {
+
+constexpr int kBwWindowRtts = 10;            // max-filter length, RTT rounds
+constexpr sim::SimTime kMinRttWindow = 10.0;  // min-filter length, seconds
+constexpr double kCwndGain = 2.0;            // in-flight cap = gain * BDP
+constexpr double kStartupGain = 2.885;  // 2/ln2: fill the pipe in log2 rounds
+constexpr double kDrainGain = 0.3465;   // 1/startup gain: drain the queue
+/// Startup exits when bandwidth grew less than this factor for
+/// kStartupFullBwRounds consecutive rounds.
+constexpr double kStartupGrowthThresh = 1.25;
+constexpr int kStartupFullBwRounds = 3;
+constexpr double kInitialRatePps = 10.0;  // pacing rate before a sample
+
+}  // namespace
+
+BbrModel::BbrModel()
+    : pace_(AimdRateParams{.initial_rate = kInitialRatePps,
+                           .min_rate = 0.5,
+                           .max_rate = 1e9,
                            .dead_time = 0.0}) {}
 
 void BbrModel::on_sample(sim::SimTime now, double delivered_delta,
@@ -17,7 +31,7 @@ void BbrModel::on_sample(sim::SimTime now, double delivered_delta,
     round_max_bw_ = std::max(round_max_bw_, delivered_delta / interval);
   if (rtt > 0.0) {
     if (!min_rtt_valid_ || rtt <= min_rtt_ ||
-        now - min_rtt_at_ > p_.min_rtt_window) {
+        now - min_rtt_at_ > kMinRttWindow) {
       min_rtt_ = rtt;
       min_rtt_at_ = now;
       min_rtt_valid_ = true;
@@ -27,8 +41,8 @@ void BbrModel::on_sample(sim::SimTime now, double delivered_delta,
 
 void BbrModel::on_round(sim::SimTime now) {
   // Commit this round's bandwidth maximum into the windowed-max ring.
-  const int window = std::min<int>(p_.bw_window_rtts,
-                                   static_cast<int>(bw_ring_.size()));
+  const int window =
+      std::min<int>(kBwWindowRtts, static_cast<int>(bw_ring_.size()));
   bw_ring_[static_cast<std::size_t>(bw_head_)] = round_max_bw_;
   bw_head_ = (bw_head_ + 1) % window;
   bw_count_ = std::min(bw_count_ + 1, window);
@@ -40,10 +54,10 @@ void BbrModel::on_round(sim::SimTime now) {
   switch (mode_) {
     case Mode::kStartup:
       // Exit once bandwidth stops growing for N consecutive rounds.
-      if (btlbw_ >= full_bw_ * p_.startup_growth_thresh) {
+      if (btlbw_ >= full_bw_ * kStartupGrowthThresh) {
         full_bw_ = btlbw_;
         full_bw_rounds_ = 0;
-      } else if (++full_bw_rounds_ >= p_.startup_full_bw_rounds) {
+      } else if (++full_bw_rounds_ >= kStartupFullBwRounds) {
         mode_ = Mode::kDrain;
         phase_started_ = now;
       }
@@ -69,9 +83,9 @@ void BbrModel::on_round(sim::SimTime now) {
 double BbrModel::pacing_gain() const {
   switch (mode_) {
     case Mode::kStartup:
-      return p_.startup_gain;
+      return kStartupGain;
     case Mode::kDrain:
-      return p_.drain_gain;
+      return kDrainGain;
     case Mode::kProbeBw:
       return kCycleGains[static_cast<std::size_t>(cycle_phase_)];
   }
@@ -80,7 +94,7 @@ double BbrModel::pacing_gain() const {
 
 double BbrModel::cwnd_cap() const {
   if (btlbw_ <= 0.0 || !min_rtt_valid_) return 4.0;
-  return std::max(4.0, p_.cwnd_gain * btlbw_ * min_rtt_);
+  return std::max(4.0, kCwndGain * btlbw_ * min_rtt_);
 }
 
 void BbrModel::reset_bw() {
@@ -95,7 +109,7 @@ void BbrModel::reset_bw() {
 }
 
 void BbrModel::refresh_pace() {
-  const double bw = btlbw_ > 0.0 ? btlbw_ : p_.initial_rate_pps;
+  const double bw = btlbw_ > 0.0 ? btlbw_ : kInitialRatePps;
   pace_.set_rate(pacing_gain() * bw);
 }
 

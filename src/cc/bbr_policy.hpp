@@ -8,8 +8,8 @@
 //
 //   * bandwidth model — windowed maximum of per-ACK delivery-rate samples
 //     (delivered-count delta / elapsed, BBR's rate-sample idea) over the
-//     last bw_window_rtts RTT rounds;
-//   * propagation model — windowed minimum RTT over min_rtt_window seconds;
+//     last 10 RTT rounds;
+//   * propagation model — windowed minimum RTT over 10 seconds;
 //   * gain cycling — ProbeBW rotates pacing gain through
 //     [1.25, 0.75, 1, 1, 1, 1, 1, 1], one phase per min_rtt, after a
 //     Startup phase (gain 2/ln2) that exits when bandwidth stops growing
@@ -34,21 +34,6 @@
 
 namespace rlacast::cc {
 
-struct BbrParams {
-  int bw_window_rtts = 10;          // max-filter length, in RTT rounds
-  sim::SimTime min_rtt_window = 10.0;  // min-filter length, seconds
-  double cwnd_gain = 2.0;           // in-flight cap = gain * BDP
-  double startup_gain = 2.885;      // 2/ln2: fill the pipe in log2 rounds
-  double drain_gain = 0.3465;       // 1/startup_gain: drain the queue
-  /// Startup exits when bandwidth grew less than this factor for
-  /// startup_full_bw_rounds consecutive rounds.
-  double startup_growth_thresh = 1.25;
-  int startup_full_bw_rounds = 3;
-  double initial_rate_pps = 10.0;   // pacing rate before the first sample
-  double min_rate_pps = 0.5;
-  double max_rate_pps = 1e9;
-};
-
 /// The bandwidth/propagation model plus the Startup/Drain/ProbeBW gain
 /// plumbing. The owning sender feeds delivery-rate and RTT samples and
 /// reads back pacing rate and cwnd cap; the pacing rate itself lives in a
@@ -58,7 +43,7 @@ class BbrModel {
  public:
   enum class Mode : std::uint8_t { kStartup, kDrain, kProbeBw };
 
-  explicit BbrModel(BbrParams p = {});
+  BbrModel();
 
   /// One delivery-rate sample: `delivered_delta` packets acknowledged over
   /// `interval` seconds (computed by the sender from per-packet delivered
@@ -90,7 +75,6 @@ class BbrModel {
  private:
   void refresh_pace();
 
-  BbrParams p_;
   AimdRate pace_;  // pacing-rate holder (rate-domain arithmetic + clamps)
   Mode mode_ = Mode::kStartup;
 

@@ -29,13 +29,6 @@
 
 namespace rlacast::cc {
 
-struct DelayGradientParams {
-  double alpha = 2.0;  // grow while backlog < alpha packets
-  double beta = 4.0;   // shrink once backlog > beta packets
-  /// Slow-start exit: leave exponential growth once backlog exceeds gamma.
-  double gamma = 1.0;
-};
-
 /// The once-per-RTT Vegas decision core. The owning sender feeds it clean
 /// RTT samples (Karn-filtered, like the RttEstimator) plus the current
 /// cwnd, and asks for a verdict once per window of data.
@@ -43,7 +36,10 @@ class DelayGradient {
  public:
   enum class Verdict { kHold, kIncrease, kDecrease };
 
-  explicit DelayGradient(DelayGradientParams p = {}) : p_(p) {}
+  static constexpr double kAlpha = 2.0;  // grow while backlog < alpha packets
+  static constexpr double kBeta = 4.0;   // shrink once backlog > beta packets
+  /// Slow-start exit: leave exponential growth once backlog exceeds gamma.
+  static constexpr double kGamma = 1.0;
 
   /// Feeds one clean RTT sample (seconds). Keeps the running minimum as the
   /// propagation estimate and the latest sample as the congestion signal.
@@ -65,15 +61,15 @@ class DelayGradient {
   Verdict decide(double cwnd) const {
     if (!valid_) return Verdict::kHold;
     const double diff = backlog(cwnd);
-    if (diff < p_.alpha) return Verdict::kIncrease;
-    if (diff > p_.beta) return Verdict::kDecrease;
+    if (diff < kAlpha) return Verdict::kIncrease;
+    if (diff > kBeta) return Verdict::kDecrease;
     return Verdict::kHold;
   }
 
   /// Whether slow start should end: backlog beyond gamma means the pipe is
   /// full and exponential growth would only build queue.
   bool slow_start_done(double cwnd) const {
-    return valid_ && backlog(cwnd) > p_.gamma;
+    return valid_ && backlog(cwnd) > kGamma;
   }
 
   bool valid() const { return valid_; }
@@ -85,7 +81,6 @@ class DelayGradient {
   void reset() { valid_ = false; }
 
  private:
-  DelayGradientParams p_;
   bool valid_ = false;
   sim::SimTime base_rtt_ = 0.0;
   sim::SimTime last_rtt_ = 0.0;

@@ -13,8 +13,6 @@ namespace rlacast::cc {
 struct PeerState {
   Scoreboard sb;
   RttEstimator rtt;
-
-  explicit PeerState(const RttEstimatorParams& rp = {}) : rtt(rp) {}
 };
 
 }  // namespace rlacast::cc

@@ -3,9 +3,9 @@
 // packets are never fed in).
 //
 // This is the single estimator both the TCP sender (one instance) and the
-// RLA sender (one instance per receiver) use; RttEstimatorParams is the one
-// place the shared defaults live, so a tuning change cannot silently
-// diverge the two controllers.
+// RLA sender (one instance per receiver) use; its constants are the one
+// place the shared tuning lives, so a change cannot silently diverge the
+// two controllers.
 #pragma once
 
 #include <algorithm>
@@ -15,17 +15,13 @@
 
 namespace rlacast::cc {
 
-struct RttEstimatorParams {
-  double alpha = 0.125;  // srtt gain (RFC 6298)
-  double beta = 0.25;    // rttvar gain
-  sim::SimTime min_rto = 0.2;
-  sim::SimTime max_rto = 64.0;
-  sim::SimTime initial_rto = 3.0;
-};
-
 class RttEstimator : public replay::Snapshotable {
  public:
-  explicit RttEstimator(RttEstimatorParams p = {}) : p_(p), rto_(p.initial_rto) {}
+  static constexpr double kAlpha = 0.125;  // srtt gain (RFC 6298)
+  static constexpr double kBeta = 0.25;    // rttvar gain
+  static constexpr sim::SimTime kMinRto = 0.2;
+  static constexpr sim::SimTime kMaxRto = 64.0;
+  static constexpr sim::SimTime kInitialRto = 3.0;
 
   void add_sample(sim::SimTime rtt) {
     if (!valid_) {
@@ -33,10 +29,10 @@ class RttEstimator : public replay::Snapshotable {
       rttvar_ = rtt / 2.0;
       valid_ = true;
     } else {
-      rttvar_ += p_.beta * (std::abs(srtt_ - rtt) - rttvar_);
-      srtt_ += p_.alpha * (rtt - srtt_);
+      rttvar_ += kBeta * (std::abs(srtt_ - rtt) - rttvar_);
+      srtt_ += kAlpha * (rtt - srtt_);
     }
-    rto_ = std::clamp(srtt_ + 4.0 * rttvar_, p_.min_rto, p_.max_rto);
+    rto_ = std::clamp(srtt_ + 4.0 * rttvar_, kMinRto, kMaxRto);
     backoff_ = 1.0;
   }
 
@@ -50,9 +46,9 @@ class RttEstimator : public replay::Snapshotable {
   void reset_backoff() { backoff_ = 1.0; }
 
   sim::SimTime rto() const {
-    return std::min(rto_ * backoff_, p_.max_rto);
+    return std::min(rto_ * backoff_, kMaxRto);
   }
-  sim::SimTime srtt() const { return valid_ ? srtt_ : p_.initial_rto / 2.0; }
+  sim::SimTime srtt() const { return valid_ ? srtt_ : kInitialRto / 2.0; }
   sim::SimTime rttvar() const { return rttvar_; }
   bool valid() const { return valid_; }
 
@@ -69,11 +65,10 @@ class RttEstimator : public replay::Snapshotable {
   }
 
  private:
-  RttEstimatorParams p_;
   bool valid_ = false;
   double srtt_ = 0.0;
   double rttvar_ = 0.0;
-  double rto_;
+  double rto_ = kInitialRto;
   double backoff_ = 1.0;
 };
 

@@ -5,6 +5,14 @@
 
 namespace rlacast::cc {
 
+namespace {
+
+/// Median/MAD clamp the defense applies to reported srtts before srtt_max
+/// is taken (see robust_clamped_max).
+constexpr double kSrttClampMads = 4.0;
+
+}  // namespace
+
 double robust_clamped_max(std::vector<double>& values, double k_mads) {
   if (values.empty()) return 0.0;
   const auto plain_max = *std::max_element(values.begin(), values.end());
@@ -268,7 +276,7 @@ double TroubledCensus::robust_srtt_max() const {
   srtt_scratch_.clear();
   for (const int i : reservoir_.sample())
     srtt_scratch_.push_back(core_.srtt_of(i));
-  robust_cache_ = robust_clamped_max(srtt_scratch_, defense_.srtt_clamp_mads);
+  robust_cache_ = robust_clamped_max(srtt_scratch_, kSrttClampMads);
   robust_valid_ = true;
   robust_srtt_version_ = srtt_version_;
   robust_membership_ = membership_version_;
@@ -279,8 +287,7 @@ double TroubledCensus::srtt_max() const {
   // Hardened path: an srtt-inflating receiver drives pthresh toward 1 for
   // everyone else (their srtt_i/srtt_max ratio collapses), so reported
   // srtts are median/MAD-clamped before the max is taken.
-  if (defense_.enabled && defense_.srtt_clamp_mads > 0.0)
-    return robust_srtt_max();
+  if (defense_.enabled) return robust_srtt_max();
   return plain_srtt_max();
 }
 

@@ -75,10 +75,6 @@ namespace rlacast::cc {
 /// keeps the census byte-identical to the pre-defense implementation.
 struct CensusDefenseParams {
   bool enabled = false;
-  /// Median/MAD clamp applied by the sender to reported srtts before
-  /// srtt_max is taken (see robust_clamped_max); <= 0 disables the clamp
-  /// even when the rest of the defense is on.
-  double srtt_clamp_mads = 4.0;
   /// A member is quarantined when its effective signal interval is more
   /// than rate_factor times SMALLER than the median peer interval.
   double rate_factor = 8.0;

@@ -77,12 +77,12 @@ ChaosDraw draw_chaos(const ChaosConfig& cfg, std::uint64_t seed,
   d.adversary_idx.assign(pool.begin(), pool.begin() + d.n_adversaries);
   std::sort(d.adversary_idx.begin(), d.adversary_idx.end());
 
-  d.ack_fault.loss_p = rng.uniform(0.0, cfg.max_ack_loss_p);
-  d.ack_fault.duplicate_p = rng.uniform(0.0, cfg.max_ack_dup_p);
-  d.ack_fault.max_jitter = rng.uniform(0.0, cfg.max_ack_jitter);
-  d.leaf_fault.loss_p = rng.uniform(0.0, cfg.max_leaf_loss_p);
-  d.flip_period = rng.uniform(cfg.min_flip_period, cfg.max_flip_period);
-  d.adversary_start = cfg.adversary_start;
+  d.ack_fault.loss_p = rng.uniform(0.0, kChaosMaxAckLossP);
+  d.ack_fault.duplicate_p = rng.uniform(0.0, kChaosMaxAckDupP);
+  d.ack_fault.max_jitter = rng.uniform(0.0, kChaosMaxAckJitter);
+  d.leaf_fault.loss_p = rng.uniform(0.0, kChaosMaxLeafLossP);
+  d.flip_period = rng.uniform(kChaosMinFlipPeriod, kChaosMaxFlipPeriod);
+  d.adversary_start = kChaosAdversaryStart;
 
   // Structural draws are strictly appended and gated: with cfg.structural
   // false nothing below runs and pre-existing journals stay bit-identical.
@@ -94,8 +94,8 @@ ChaosDraw draw_chaos(const ChaosConfig& cfg, std::uint64_t seed,
     d.structural = kStructKinds[rng.uniform_int(0, 3)];
     d.structural_index = static_cast<int>(rng.uniform_int(0, 8));
     d.partition_start =
-        rng.uniform(cfg.min_partition_start, cfg.max_partition_start);
-    d.partition_len = rng.uniform(cfg.min_partition_len, cfg.max_partition_len);
+        rng.uniform(kChaosMinPartitionStart, kChaosMaxPartitionStart);
+    d.partition_len = rng.uniform(kChaosMinPartitionLen, kChaosMaxPartitionLen);
   }
   return d;
 }

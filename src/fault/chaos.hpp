@@ -15,29 +15,32 @@
 
 #include "fault/adversary.hpp"
 #include "fault/fault.hpp"
+#include "sim/time.hpp"
 
 namespace rlacast::fault {
 
-/// Bounds of the chaos draw; every replicate lands uniformly inside them.
+// Bounds of the chaos draw; every replicate lands uniformly inside them.
+inline constexpr double kChaosMaxAckLossP = 0.05;  // reverse-path ACK loss
+inline constexpr double kChaosMaxAckDupP = 0.05;   // reverse-path ACK dup
+inline constexpr sim::SimTime kChaosMaxAckJitter = 0.02;  // reverse jitter
+inline constexpr double kChaosMaxLeafLossP = 0.02;  // forward leaf-link loss
+inline constexpr sim::SimTime kChaosMinFlipPeriod = 5.0;
+inline constexpr sim::SimTime kChaosMaxFlipPeriod = 20.0;
+/// Honest warm-up before the adversaries start lying (fixed, not drawn).
+inline constexpr sim::SimTime kChaosAdversaryStart = 20.0;
+inline constexpr sim::SimTime kChaosMinPartitionStart = 15.0;
+inline constexpr sim::SimTime kChaosMaxPartitionStart = 30.0;
+inline constexpr sim::SimTime kChaosMinPartitionLen = 2.0;
+inline constexpr sim::SimTime kChaosMaxPartitionLen = 10.0;
+
 struct ChaosConfig {
-  double max_ack_loss_p = 0.05;     // reverse-path Bernoulli ACK loss
-  double max_ack_dup_p = 0.05;      // reverse-path ACK duplication
-  sim::SimTime max_ack_jitter = 0.02;  // reverse-path delay jitter bound
-  double max_leaf_loss_p = 0.02;    // forward leaf-link loss
-  int max_adversaries = 9;          // misbehaving receivers per replicate
-  sim::SimTime min_flip_period = 5.0;
-  sim::SimTime max_flip_period = 20.0;
-  sim::SimTime adversary_start = 20.0;  // honest warm-up before lying
+  int max_adversaries = 9;  // misbehaving receivers per replicate
   /// Structural-failure draws (node crashes / subtree partitions).  Off by
   /// default: when false, draw_chaos consumes ZERO extra stream draws and
   /// existing chaos journals stay bit-identical.  When true, exactly four
   /// extra draws are appended (kind, placement, start, length) regardless
   /// of which kind lands, so the consumption is seed-stable.
   bool structural = false;
-  sim::SimTime min_partition_start = 15.0;
-  sim::SimTime max_partition_start = 30.0;
-  sim::SimTime min_partition_len = 2.0;
-  sim::SimTime max_partition_len = 10.0;
 };
 
 /// What structural failure (if any) a chaos replicate draws.  Indices are
@@ -76,7 +79,8 @@ struct ChaosDraw {
   std::string describe() const;
 };
 
-/// Draws one scenario from `cfg` for a session of `n_receivers`, on the
+/// Draws one scenario within the kChaos* bounds and `cfg` for a session of
+/// `n_receivers`, on the
 /// "chaos-scenario" stream of `seed`.  The draw order is part of the replay
 /// contract: kind, adversary count, adversary placement (partial
 /// Fisher-Yates, one uniform_int per slot), ACK loss, ACK duplication, ACK

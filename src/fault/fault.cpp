@@ -7,27 +7,10 @@
 
 namespace rlacast::fault {
 
-LinkFaultState::LinkFaultState(sim::Simulator& sim, LinkImpairment imp,
-                               sim::Rng rng)
-    : sim_(sim), imp_(std::move(imp)), rng_(std::move(rng)) {}
-
-void LinkFaultState::start() {
-  if (!imp_.flapping()) return;
-  flap_down_ = false;
-  schedule_flap();
-}
-
-void LinkFaultState::schedule_flap() {
-  const sim::SimTime dwell = rng_.exponential(
-      flap_down_ ? imp_.flap_mean_down : imp_.flap_mean_up);
-  sim_.after(dwell, [this] {
-    flap_down_ = !flap_down_;
-    schedule_flap();
-  });
-}
+LinkFaultState::LinkFaultState(LinkImpairment imp, sim::Rng rng)
+    : imp_(std::move(imp)), rng_(std::move(rng)) {}
 
 bool LinkFaultState::is_down(sim::SimTime now) const {
-  if (flap_down_) return true;
   for (const Outage& o : imp_.outages) {
     if (now >= o.start && now < o.end) return true;
   }
@@ -52,8 +35,9 @@ net::LinkFaultHook::WireVerdict LinkFaultState::wire(const net::Packet&,
   if (imp_.ge.enabled()) {
     ge_bad_ = ge_bad_ ? !rng_.chance(imp_.ge.p_bad_to_good)
                       : rng_.chance(imp_.ge.p_good_to_bad);
-    const double p = ge_bad_ ? imp_.ge.loss_bad : imp_.ge.loss_good;
-    if (p > 0.0 && rng_.chance(p)) v.lost = true;
+    // The Good state is lossless: only a Bad packet can draw a loss.
+    if (ge_bad_ && imp_.ge.loss_bad > 0.0 && rng_.chance(imp_.ge.loss_bad))
+      v.lost = true;
   }
   if (!v.lost && imp_.loss_p > 0.0 && rng_.chance(imp_.loss_p)) v.lost = true;
   if (v.lost) {
@@ -145,13 +129,11 @@ void FaultPlan::arm(net::Network& net) {
           "FaultPlan::arm: no link " + std::to_string(e.from) + "->" +
           std::to_string(e.to));
     }
-    sim::Simulator& sim = net.simulator();
     const std::string stream = "fault-link-" + std::to_string(e.from) + "-" +
                                std::to_string(e.to);
-    e.state = std::make_unique<LinkFaultState>(sim, e.imp,
-                                               sim.rng_stream(stream));
+    e.state = std::make_unique<LinkFaultState>(
+        e.imp, net.simulator().rng_stream(stream));
     link->set_fault_hook(e.state.get());
-    e.state->start();
   }
 }
 

@@ -2,16 +2,16 @@
 //
 // A FaultPlan maps unidirectional links to LinkImpairment descriptions —
 // Bernoulli and Gilbert–Elliott random wire loss, duplication, delay jitter,
-// scheduled outage windows, and random up/down flapping.  arm() installs one
-// LinkFaultState per impaired link as that link's net::LinkFaultHook; each
-// state draws from its own named sim::Rng stream ("fault-link-<from>-<to>"),
-// so (a) faulted runs replay bit-identically for a given master seed, and
-// (b) arming a plan cannot perturb any pre-existing stream (RED, RLA coin
-// flips, start jitter) — the no-fault baseline stays byte-identical.
+// and scheduled outage windows.  arm() installs one LinkFaultState per
+// impaired link as that link's net::LinkFaultHook; each state draws from
+// its own named sim::Rng stream ("fault-link-<from>-<to>"), so (a) faulted
+// runs replay bit-identically for a given master seed, and (b) arming a
+// plan cannot perturb any pre-existing stream (RED, RLA coin flips, start
+// jitter) — the no-fault baseline stays byte-identical.
 //
 // Where each impairment acts in the queue → serializer → pipe pipeline:
-//  * outages / flapping  — transmit(): the interface is down, the offered
-//    packet is discarded before it reaches the queue;
+//  * outages — transmit(): the interface is down, the offered packet is
+//    discarded before it reaches the queue;
 //  * loss / duplication / jitter — serialization end: the packet survived
 //    queueing and serialization but is corrupted, copied, or delayed on its
 //    propagation leg.
@@ -33,12 +33,11 @@
 namespace rlacast::fault {
 
 /// Two-state Gilbert–Elliott burst-loss channel.  The chain advances once
-/// per serialized packet; the per-packet loss probability depends on the
-/// current state (loss_good in Good, loss_bad in Bad).
+/// per serialized packet; the Good state is lossless and the Bad state
+/// loses each packet with probability loss_bad.
 struct GilbertElliott {
   double p_good_to_bad = 0.0;  // per-packet transition Good -> Bad
   double p_bad_to_good = 0.0;  // per-packet transition Bad -> Good
-  double loss_good = 0.0;      // loss probability while Good
   double loss_bad = 1.0;       // loss probability while Bad
 
   bool enabled() const { return p_good_to_bad > 0.0; }
@@ -86,15 +85,10 @@ struct LinkImpairment {
   double duplicate_p = 0.0;      // probability of one extra delivered copy
   sim::SimTime max_jitter = 0.0; // uniform [0, max_jitter) extra delay
   std::vector<Outage> outages;   // scheduled down windows
-  /// Random flapping: alternate exponentially distributed up/down dwell
-  /// times (both means must be > 0 to enable).  Composes with outages.
-  sim::SimTime flap_mean_up = 0.0;
-  sim::SimTime flap_mean_down = 0.0;
 
-  bool flapping() const { return flap_mean_up > 0.0 && flap_mean_down > 0.0; }
   bool any() const {
     return loss_p > 0.0 || ge.enabled() || duplicate_p > 0.0 ||
-           max_jitter > 0.0 || !outages.empty() || flapping();
+           max_jitter > 0.0 || !outages.empty();
   }
 };
 
@@ -107,18 +101,15 @@ struct FaultTotals {
 };
 
 /// The per-link hook implementation.  Owns the link's dedicated RNG stream
-/// and the Gilbert–Elliott / flapping state machines.  Created and owned by
-/// FaultPlan; must outlive the simulation run.
+/// and the Gilbert–Elliott state machine.  Created and owned by FaultPlan;
+/// must outlive the simulation run.
 class LinkFaultState final : public net::LinkFaultHook {
  public:
-  LinkFaultState(sim::Simulator& sim, LinkImpairment imp, sim::Rng rng);
+  LinkFaultState(LinkImpairment imp, sim::Rng rng);
 
   bool down(sim::SimTime now) override;
   bool peek_down(sim::SimTime now) const override;
   WireVerdict wire(const net::Packet& p, sim::SimTime now) override;
-
-  /// Starts the flapping state machine (no-op unless imp.flapping()).
-  void start();
 
   const LinkImpairment& impairment() const { return imp_; }
   std::uint64_t offered() const { return offered_; }
@@ -127,14 +118,11 @@ class LinkFaultState final : public net::LinkFaultHook {
   std::uint64_t duplicates() const { return duplicates_; }
 
  private:
-  void schedule_flap();
   bool is_down(sim::SimTime now) const;
 
-  sim::Simulator& sim_;
   LinkImpairment imp_;
   sim::Rng rng_;
   bool ge_bad_ = false;    // Gilbert–Elliott channel state
-  bool flap_down_ = false; // flapping interface state
   std::uint64_t offered_ = 0;
   std::uint64_t wire_losses_ = 0;
   std::uint64_t outage_drops_ = 0;
@@ -174,9 +162,9 @@ class FaultPlan {
   }
   const std::vector<Partition>& partitions() const { return partitions_; }
 
-  /// Installs hooks on the matching links of `net` and starts flapping
-  /// state machines.  Throws std::invalid_argument if a registered link
-  /// does not exist.  The plan must outlive the simulation run.
+  /// Installs hooks on the matching links of `net`.  Throws
+  /// std::invalid_argument if a registered link does not exist.  The plan
+  /// must outlive the simulation run.
   void arm(net::Network& net);
 
   /// Sum of per-link fault counters across all armed links.

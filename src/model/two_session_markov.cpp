@@ -5,11 +5,18 @@
 
 namespace rlacast::model {
 
+namespace {
+
+constexpr std::int64_t kWarmupSteps = 1'000;
+constexpr std::size_t kHistBins = 80;  // per axis, over [0, 2*pipe)
+
+}  // namespace
+
 TwoSessionResult run_two_session_markov(const TwoSessionParams& p,
                                         sim::Rng rng) {
-  const double hist_max = p.hist_max > 0.0 ? p.hist_max : 2.0 * p.pipe;
+  const double hist_max = 2.0 * p.pipe;
   TwoSessionResult res{
-      stats::Histogram2D(hist_max, hist_max, p.hist_bins, p.hist_bins)};
+      stats::Histogram2D(hist_max, hist_max, kHistBins, kHistBins)};
 
   double w1 = p.w0_1, w2 = p.w0_2;
   double sum1 = 0.0, sum2 = 0.0;
@@ -26,7 +33,7 @@ TwoSessionResult run_two_session_markov(const TwoSessionParams& p,
     return std::max(w / std::pow(2.0, cuts), 1.0);
   };
 
-  for (std::int64_t t = 0; t < p.steps + p.warmup_steps; ++t) {
+  for (std::int64_t t = 0; t < p.steps + kWarmupSteps; ++t) {
     if (w1 + w2 < p.pipe) {
       w1 += 2.0;
       w2 += 2.0;
@@ -39,7 +46,7 @@ TwoSessionResult run_two_session_markov(const TwoSessionParams& p,
       w2 = nw2;
     }
 
-    if (t < p.warmup_steps) continue;
+    if (t < kWarmupSteps) continue;
     res.density.add(w1, w2);
     sum1 += w1;
     sum2 += w2;

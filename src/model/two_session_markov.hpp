@@ -22,9 +22,6 @@ struct TwoSessionParams {
   double w0_1 = 1.0;   // initial windows
   double w0_2 = 1.0;
   std::int64_t steps = 1'000'000;
-  std::int64_t warmup_steps = 1'000;
-  double hist_max = 0.0;  // histogram range; 0 = 2*pipe
-  std::size_t hist_bins = 80;
 };
 
 struct TwoSessionResult {

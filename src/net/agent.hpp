@@ -45,9 +45,6 @@ class SendPacer {
         max_overhead_(max_overhead),
         pending_(sim.scheduler(), Inject{&network}) {}
 
-  void set_max_overhead(sim::SimTime v) { max_overhead_ = v; }
-  sim::SimTime max_overhead() const { return max_overhead_; }
-
   /// Sends (or schedules the send of) a packet.
   void send(const Packet& p);
 
@@ -61,7 +58,7 @@ class SendPacer {
   sim::Simulator& sim_;
   Network& network_;
   sim::Rng rng_;
-  sim::SimTime max_overhead_;
+  const sim::SimTime max_overhead_;
   sim::SimTime last_departure_ = 0.0;
   sim::TimedFifo<Packet, Inject> pending_;
 };

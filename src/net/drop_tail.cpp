@@ -2,14 +2,14 @@
 
 namespace rlacast::net {
 
-bool DropTailQueue::enqueue(const Packet& p, sim::SimTime now) {
+bool DropTailQueue::enqueue(const Packet& p, sim::SimTime /*now*/) {
   const bool full =
       byte_mode()
           ? bytes_ + p.size_bytes >
                 static_cast<std::int64_t>(capacity_) * slot_bytes_
           : q_.size() >= capacity_;
   if (full) {
-    note_drop(p, now);
+    note_drop();
     return false;
   }
   q_.push_back(p);

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 
 #include "net/packet.hpp"
@@ -43,12 +42,6 @@ class Queue : public replay::Snapshotable {
 
   const QueueStats& stats() const { return stats_; }
 
-  /// Optional observer invoked for every dropped packet (tests, tracing,
-  /// per-flow loss accounting).
-  void set_drop_hook(std::function<void(const Packet&, sim::SimTime)> hook) {
-    drop_hook_ = std::move(hook);
-  }
-
   /// Checkpoint state: backlog + cumulative counters. Disciplines with
   /// internal estimator state (RED) extend this.
   replay::Snapshot snapshot_state() const override {
@@ -63,14 +56,10 @@ class Queue : public replay::Snapshotable {
  protected:
   void note_enqueue() { ++stats_.enqueued; }
   void note_dequeue() { ++stats_.dequeued; }
-  void note_drop(const Packet& p, sim::SimTime now) {
-    ++stats_.dropped;
-    if (drop_hook_) drop_hook_(p, now);
-  }
+  void note_drop() { ++stats_.dropped; }
 
  private:
   QueueStats stats_;
-  std::function<void(const Packet&, sim::SimTime)> drop_hook_;
 };
 
 }  // namespace rlacast::net

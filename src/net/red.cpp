@@ -36,19 +36,8 @@ bool RedQueue::enqueue(const Packet& p, sim::SimTime now) {
     ++count_;
     const double pb = params_.max_p * (avg_ - params_.min_th) /
                       (params_.max_th - params_.min_th);
-    double pa;
-    if (params_.wait) {
-      const double cpb = static_cast<double>(count_) * pb;
-      if (cpb < 1.0)
-        pa = 0.0;
-      else if (cpb < 2.0)
-        pa = pb / (2.0 - cpb);
-      else
-        pa = 1.0;
-    } else {
-      const double cpb = static_cast<double>(count_) * pb;
-      pa = cpb < 1.0 ? pb / (1.0 - cpb) : 1.0;
-    }
+    const double cpb = static_cast<double>(count_) * pb;
+    const double pa = cpb < 1.0 ? pb / (1.0 - cpb) : 1.0;
     if (rng_.chance(pa)) {
       // An early decision notifies the flow; with ECN and an ECN-capable
       // packet the notification is a CE mark, not a loss.
@@ -66,7 +55,7 @@ bool RedQueue::enqueue(const Packet& p, sim::SimTime now) {
   }
 
   if (drop) {
-    note_drop(p, now);
+    note_drop();
     return false;
   }
   Packet stored = p;

@@ -34,7 +34,6 @@ struct RedParams {
   double max_th = 15.0;        // packets
   double w_q = 0.002;          // EWMA gain (ns-2 default)
   double max_p = 0.1;          // ns-2 linterm_ = 10  =>  max_p = 0.1
-  bool wait = false;           // ns "wait_" spacing mode; off in ns-2.0 era
   // Mean packet service time at the attached link, used for idle aging.
   // Network fills this in from link bandwidth and mean packet size when it
   // attaches the queue; 0 disables idle compensation.
@@ -61,7 +60,6 @@ class RedQueue final : public Queue {
 
   double avg() const { return avg_; }
   const RedParams& params() const { return params_; }
-  void set_mean_pkt_time(double s) { params_.mean_pkt_time = s; }
 
   /// Counters split by drop cause, for tests and the EXPERIMENTS writeup.
   std::uint64_t early_drops() const { return early_drops_; }

@@ -5,10 +5,22 @@
 
 namespace rlacast::rla {
 
+namespace {
+
+/// Urgent-repair request (the paper's receiver-triggered immediate unicast
+/// retransmission) after this many consecutive data arrivals with an
+/// unchanged cumulative point and data above it.  One member's ACK carries
+/// the flag per trigger — a single unicast repair refills the shared
+/// buffer for the whole group.
+constexpr int kUrgentAfterStuckAcks = 8;
+
+}  // namespace
+
 GroupReceiver::GroupReceiver(net::Network& network, net::NodeId node,
                              net::PortId port, net::GroupId group,
                              net::NodeId sender_node, net::PortId sender_port,
-                             std::vector<int> member_ids, Options options)
+                             std::vector<int> member_ids,
+                             sim::SimTime max_ack_overhead)
     : network_(network),
       node_(node),
       port_(port),
@@ -16,12 +28,11 @@ GroupReceiver::GroupReceiver(net::Network& network, net::NodeId node,
       sender_node_(sender_node),
       sender_port_(sender_port),
       members_(std::move(member_ids)),
-      options_(options),
       ack_pacer_(network.simulator(), network,
                  network.simulator().rng_stream(
                      "rla-ack-overhead-" + std::to_string(node) + "-g" +
                      std::to_string(members_.empty() ? -1 : members_.front())),
-                 options.max_ack_overhead) {
+                 max_ack_overhead) {
   network_.attach(node_, port_, this);
   network_.subscribe(group_, node_, this);
 }
@@ -37,7 +48,7 @@ void GroupReceiver::on_receive(const net::Packet& p) {
   ack.dst = sender_node_;
   ack.src_port = port_;
   ack.dst_port = sender_port_;
-  ack.size_bytes = options_.ack_bytes;
+  ack.size_bytes = net::kAckPacketBytes;
   ack.ack = buf_.cum_ack();
   ack.seq = p.seq;
   ack.ts_echo = p.ts_echo;
@@ -48,17 +59,15 @@ void GroupReceiver::on_receive(const net::Packet& p) {
   // Urgent-repair request when the shared buffer's hole persists; carried
   // on the first member's ACK only (one unicast repair fills it for all).
   bool urgent = false;
-  if (options_.urgent_after_stuck_acks > 0) {
-    if (buf_.cum_ack() == stuck_cum_ && buf_.highest() > buf_.cum_ack()) {
-      if (++stuck_acks_ >= options_.urgent_after_stuck_acks) {
-        urgent = true;
-        ++urgent_requests_;
-        stuck_acks_ = 0;
-      }
-    } else {
-      stuck_cum_ = buf_.cum_ack();
+  if (buf_.cum_ack() == stuck_cum_ && buf_.highest() > buf_.cum_ack()) {
+    if (++stuck_acks_ >= kUrgentAfterStuckAcks) {
+      urgent = true;
+      ++urgent_requests_;
       stuck_acks_ = 0;
     }
+  } else {
+    stuck_cum_ = buf_.cum_ack();
+    stuck_acks_ = 0;
   }
 
   // One feedback packet per member: the group shares one buffer but not

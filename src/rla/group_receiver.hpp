@@ -27,29 +27,17 @@
 
 namespace rlacast::rla {
 
-struct GroupReceiverOptions {
-  std::int32_t ack_bytes = net::kAckPacketBytes;
-  /// Random per-ACK processing time, Uniform(0, max); see the header note.
-  sim::SimTime max_ack_overhead = 0.0;
-  /// Urgent-repair request (the paper's receiver-triggered immediate
-  /// unicast retransmission) after this many consecutive data arrivals
-  /// with an unchanged cumulative point and data above it; 0 disables.
-  /// One member's ACK carries the flag per trigger — a single unicast
-  /// repair refills the shared buffer for the whole group.
-  int urgent_after_stuck_acks = 8;
-};
-
 class GroupReceiver final : public net::Agent {
  public:
-  using Options = GroupReceiverOptions;
-
   /// `member_ids` are the session receiver indices this leaf answers for
   /// (one sender-side census entry each, registered by the caller through
-  /// RlaSender::add_receiver with this node/port).
+  /// RlaSender::add_receiver with this node/port).  `max_ack_overhead` is
+  /// the random per-ACK processing time, Uniform(0, max); see the header
+  /// note.
   GroupReceiver(net::Network& network, net::NodeId node, net::PortId port,
                 net::GroupId group, net::NodeId sender_node,
                 net::PortId sender_port, std::vector<int> member_ids,
-                Options options = {});
+                sim::SimTime max_ack_overhead);
 
   void on_receive(const net::Packet& p) override;
 
@@ -67,7 +55,6 @@ class GroupReceiver final : public net::Agent {
   net::NodeId sender_node_;
   net::PortId sender_port_;
   std::vector<int> members_;
-  Options options_;
 
   net::SendPacer ack_pacer_;
   tcp::ReassemblyBuffer buf_;

@@ -33,7 +33,7 @@ ReceiverTable::TrackedState& ReceiverTable::ensure_slot(int i) {
   const std::size_t ii = idx(i);
   if (est_slot_[ii] < 0) {
     est_slot_[ii] = static_cast<std::int32_t>(tracked_.size());
-    tracked_.emplace_back(rtt_params_);
+    tracked_.emplace_back();
     // Seed from the shared estimate: a member promoted mid-run should not
     // restart at the cold initial RTO.  (While every active member is
     // tracked the fallback sees no sample and no backoff, so the copy is a

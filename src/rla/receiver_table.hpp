@@ -57,9 +57,6 @@ namespace rlacast::rla {
 
 class ReceiverTable {
  public:
-  explicit ReceiverTable(const cc::RttEstimatorParams& rtt_params)
-      : rtt_params_(rtt_params), fallback_rtt_(rtt_params) {}
-
   /// True when `i` has its own RTT estimator.
   bool tracked(int i) const { return est_slot_[idx(i)] >= 0; }
   /// Allocates `i`'s tracked slot.  The new estimator is seeded from the
@@ -205,7 +202,6 @@ class ReceiverTable {
  private:
   /// Pooled per-receiver wide state of a tracked member.
   struct TrackedState {
-    explicit TrackedState(const cc::RttEstimatorParams& p) : rtt(p) {}
     cc::RttEstimator rtt;
     cc::SignalGrouper grouper;
   };
@@ -222,7 +218,6 @@ class ReceiverTable {
   void refresh_compact_min(const cc::TroubledCensus& census) const;
   void compact_insert(int i);
 
-  cc::RttEstimatorParams rtt_params_;
   net::SeqNum frontier_ = 0;
 
   // Parallel per-receiver arrays.

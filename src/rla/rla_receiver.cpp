@@ -59,7 +59,7 @@ void RlaReceiver::on_receive(const net::Packet& p) {
   ack.dst = sender_node_;
   ack.src_port = port_;
   ack.dst_port = sender_port_;
-  ack.size_bytes = options_.ack_bytes;
+  ack.size_bytes = net::kAckPacketBytes;
   ack.ack = buf_.cum_ack();
   ack.seq = p.seq;
   ack.ts_echo = p.ts_echo;
@@ -67,20 +67,6 @@ void RlaReceiver::on_receive(const net::Packet& p) {
   ack.receiver_id = id_;
   ack.n_sack = static_cast<std::uint8_t>(
       buf_.sack_blocks(ack.sack.data(), net::kMaxSackBlocks));
-
-  // Urgent-retransmission request when a hole persists (optional).
-  if (options_.urgent_after_stuck_acks > 0) {
-    if (buf_.cum_ack() == stuck_cum_ && buf_.highest() > buf_.cum_ack()) {
-      if (++stuck_acks_ >= options_.urgent_after_stuck_acks) {
-        ack.urgent_rexmit_request = true;
-        ++urgent_requests_;
-        stuck_acks_ = 0;
-      }
-    } else {
-      stuck_cum_ = buf_.cum_ack();
-      stuck_acks_ = 0;
-    }
-  }
 
   if (ack_tap_ != nullptr) {
     const AckTap::Verdict v = ack_tap_->on_ack(ack, network_.simulator().now());

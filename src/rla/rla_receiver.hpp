@@ -5,12 +5,6 @@
 // multicast retransmission, or unicast retransmission) with a unicast
 // SACK-format ACK carrying its receiver id — the same ACK format as TCP
 // SACK, per §3.3 rule 1.
-//
-// Optionally sets the urgent-retransmission flag on its ACKs when the same
-// hole has persisted across many ACKs, which the sender answers with an
-// immediate unicast retransmission (the paper's "the receiver can also
-// trigger an immediate retransmission of a lost packet by unicast if it
-// sets a field in the packet").
 #pragma once
 
 #include "net/agent.hpp"
@@ -38,10 +32,6 @@ class AckTap {
 };
 
 struct RlaReceiverOptions {
-  std::int32_t ack_bytes = net::kAckPacketBytes;
-  /// 0 disables urgent requests; otherwise request after this many
-  /// consecutive ACKs with an unchanged cumulative point and data above it.
-  int urgent_after_stuck_acks = 0;
   /// Late-join stream resumption: the first data packet received defines
   /// the start of this receiver's stream (everything earlier is not owed).
   /// Enable for receivers joining an in-progress session.
@@ -80,7 +70,6 @@ class RlaReceiver final : public net::Agent {
   const tcp::ReassemblyBuffer& buffer() const { return buf_; }
   std::uint64_t data_packets_received() const { return received_; }
   std::uint64_t duplicates_received() const { return duplicates_; }
-  std::uint64_t urgent_requests_sent() const { return urgent_requests_; }
 
  private:
   net::Network& network_;
@@ -96,9 +85,6 @@ class RlaReceiver final : public net::Agent {
   tcp::ReassemblyBuffer buf_;
   std::uint64_t received_ = 0;
   std::uint64_t duplicates_ = 0;
-  std::uint64_t urgent_requests_ = 0;
-  net::SeqNum stuck_cum_ = -1;
-  int stuck_acks_ = 0;
   bool silenced_ = false;
   AckTap* ack_tap_ = nullptr;
 };

@@ -7,6 +7,50 @@
 
 namespace rlacast::rla {
 
+namespace {
+
+/// "At least three higher" SACK loss rule (§3.3 rule 1).
+constexpr int kDupThresh = 3;
+
+/// EWMA gain of awnd, the moving average of cwnd used by the forced-cut
+/// guard. Updated once per reach-all acknowledgment.
+constexpr double kAwndGain = 0.01;
+
+// Frontier watchdog (RlaParams::frontier_watchdog).
+/// Stall threshold in units of the current max receiver RTO.
+constexpr double kWatchdogStallRtos = 3.0;
+/// Absolute floor of the stall threshold, seconds.
+constexpr sim::SimTime kWatchdogMinStall = 1.0;
+/// ACKs that must arrive during the stall before receivers are blamed — a
+/// frozen frontier with no ACK flow at all is loss, not pinning.
+constexpr std::uint64_t kWatchdogMinAcks = 32;
+/// Cum-withholding bound.  A receiver can freeze its cumulative ACK while
+/// SACKing everything above it: reach-all then advances through
+/// first_missing (no frontier stall for the watchdog to see), but advance()
+/// never prunes its scoreboard, whose per-packet state — and the cost of
+/// every SACK walk across it — grows without bound.  An honest receiver's
+/// SACK lead over its own cumulative point is bounded by the congestion
+/// window; one whose lead exceeds this many packets is withholding and is
+/// quarantined like a frontier pinner.
+constexpr std::int64_t kMaxSackLead = 2048;
+
+// Subtree excision and re-admission (RlaParams::degrade).
+/// Detection poll period.
+constexpr sim::SimTime kSubtreeCheckPeriod = 0.25;
+/// Re-admission ramp tick; each tick multicasts one burst of catch-up
+/// retransmissions for every ramping subtree.
+constexpr sim::SimTime kRampTick = 0.05;
+/// First ramp burst, in packets; doubles each tick (slow-start shape) up to
+/// kRampMaxBurst.
+constexpr int kRampInitialBurst = 2;
+constexpr int kRampMaxBurst = 64;
+/// The rejoining subtree graduates (census re-admission) once the gap
+/// between its members' cumulative point and the send frontier is at most
+/// this many packets; the ordinary repair path closes the rest.
+constexpr std::int64_t kHandoverPackets = 8;
+
+}  // namespace
+
 RlaSender::RlaSender(net::Network& network, net::NodeId node, net::PortId port,
                      net::GroupId group, net::FlowId flow, RlaParams params)
     : network_(network),
@@ -21,7 +65,6 @@ RlaSender::RlaSender(net::Network& network, net::NodeId node, net::PortId port,
              params.max_send_overhead),
       listen_rng_(sim_.rng_stream("rla-listen-" + std::to_string(flow))),
       rto_(sim_, [this] { on_timeout(); }),
-      table_(params.rtt),
       census_(params.eta, params.signal_interval_gain),
       policy_(cc::RlaPolicyParams{.forced_cut_factor = params.forced_cut_factor,
                                   .rtt_exponent = params.rtt_exponent,
@@ -176,7 +219,7 @@ void RlaSender::on_receive(const net::Packet& p) {
   if (idx < 0 || static_cast<std::size_t>(idx) >= table_.size()) return;
   // Quarantine/probation clock. Polled before the excluded() gate so the
   // quarantined member's own ACKs can drive its release.
-  if (params_.defense.enabled || params_.frontier_watchdog.enabled)
+  if (params_.defense.enabled || params_.frontier_watchdog)
     rejoin_receivers(census_.advance_states(sim_.now()));
   // Structural heal detection, also ahead of the excluded() gate: an ACK
   // from an excised subtree member is the only signal that its partition
@@ -240,25 +283,22 @@ void RlaSender::on_ack(const net::Packet& ack, int idx) {
     // it a real scoreboard.
     ensure_board(idx).apply_sack(ack.sack.data(), ack.n_sack);
   }
-  // Cum-withholding guard (see FrontierWatchdogParams::max_sack_lead): a
+  // Cum-withholding guard (see kMaxSackLead): a
   // receiver SACKing far ahead of its frozen cumulative point starves
   // advance() of pruning while evading the frontier-stall check.  Its board
   // is the largest sender-side structure an adversary can grow, so the
   // bound is enforced on the hot ACK path, where the lead is O(1) to read.
-  {
-    const FrontierWatchdogParams& wd = params_.frontier_watchdog;
-    if (wd.enabled && wd.max_sack_lead > 0 && table_.materialized(idx) &&
-        table_.first_missing(idx) - table_.una(idx) > wd.max_sack_lead) {
-      census_.force_quarantine(idx, sim_.now());
-      ++watchdog_quarantines_;
-      census_.recompute(sim_.now());
-      advance_reach_all();
-      send_new_data(params_.max_burst);
-      return;
-    }
+  if (params_.frontier_watchdog && table_.materialized(idx) &&
+      table_.first_missing(idx) - table_.una(idx) > kMaxSackLead) {
+    census_.force_quarantine(idx, sim_.now());
+    ++watchdog_quarantines_;
+    census_.recompute(sim_.now());
+    advance_reach_all();
+    send_new_data(params_.max_burst);
+    return;
   }
   mark_covered(ack, idx);
-  const int new_losses = table_.detect_losses(idx, params_.dupthresh);
+  const int new_losses = table_.detect_losses(idx, kDupThresh);
 
   // Rule 2: a new congestion period only starts beyond 2*srtt_i of the last
   // one; losses inside the window are grouped into the same signal. An ECN
@@ -378,7 +418,7 @@ void RlaSender::advance_reach_all() {
   // Rule 4: growth is driven by packets acknowledged by ALL receivers.
   win_.grow(m);
   meas_.note_cwnd(sim_.now(), win_.cwnd());
-  awnd_ += params_.awnd_gain * (win_.cwnd() - awnd_);
+  awnd_ += kAwndGain * (win_.cwnd() - awnd_);
   meas_.note_acked(m);
 
   // RTT sampling happens in mark_one() the instant the last receiver's ACK
@@ -393,14 +433,14 @@ void RlaSender::advance_reach_all() {
 }
 
 void RlaSender::check_frontier_watchdog() {
-  const FrontierWatchdogParams& wd = params_.frontier_watchdog;
-  if (!wd.enabled || !started_) return;
+  if (!params_.frontier_watchdog || !started_) return;
   if (next_seq_ <= max_reach_all_) return;  // frontier caught up: no stall
-  if (acks_since_progress_ < wd.min_acks) return;
+  if (acks_since_progress_ < kWatchdogMinAcks) return;
   const sim::SimTime stall = sim_.now() - last_frontier_progress_;
-  const sim::SimTime bound = std::max(
-      wd.stall_rtos * std::max(table_.max_rto(census_), params_.rtt.min_rto),
-      wd.min_stall);
+  const sim::SimTime bound =
+      std::max(kWatchdogStallRtos * std::max(table_.max_rto(census_),
+                                             cc::RttEstimator::kMinRto),
+               kWatchdogMinStall);
   if (stall < bound) return;
   // The frontier is pinned while ACKs keep flowing.  Blame receivers only
   // once the blocking packet has actually been repaired at least once — an
@@ -539,7 +579,7 @@ void RlaSender::send_data_packet(net::SeqNum seq, bool rexmit,
   p.flow = flow_;
   p.src = node_;
   p.src_port = port_;
-  p.size_bytes = params_.packet_bytes;
+  p.size_bytes = net::kDataPacketBytes;
   p.seq = seq;
   p.ts_echo = sim_.now();
   p.is_rexmit = rexmit;
@@ -568,7 +608,7 @@ void RlaSender::restart_timeout_timer() {
     rto_.cancel();
     return;
   }
-  rto_.restart(std::max(table_.max_rto(census_), params_.rtt.min_rto));
+  rto_.restart(std::max(table_.max_rto(census_), cc::RttEstimator::kMinRto));
 }
 
 void RlaSender::on_timeout() {
@@ -638,7 +678,7 @@ void RlaSender::drop_silent_receivers() {
 }
 
 void RlaSender::set_subtree(int idx, int subtree) {
-  if (!params_.degrade.enabled || subtree < 0) return;
+  if (!params_.degrade || subtree < 0) return;
   if (idx < 0 || static_cast<std::size_t>(idx) >= table_.size()) return;
   if (subtree_of_.size() < table_.size()) {
     subtree_of_.resize(table_.size(), -1);
@@ -649,14 +689,13 @@ void RlaSender::set_subtree(int idx, int subtree) {
   if (!degrade_timer_) {
     degrade_timer_ =
         std::make_unique<sim::Timer>(sim_, [this] { check_subtrees(); });
-    degrade_timer_->schedule(params_.degrade.check_period);
+    degrade_timer_->schedule(kSubtreeCheckPeriod);
   }
 }
 
 void RlaSender::check_subtrees() {
-  degrade_timer_->schedule(params_.degrade.check_period);
+  degrade_timer_->schedule(kSubtreeCheckPeriod);
   if (!started_) return;
-  const SubtreeDegradeParams& dp = params_.degrade;
   const sim::SimTime now = sim_.now();
   for (auto& [sid, st] : subtrees_) {
     if (st.phase != Subtree::Phase::kHealthy) continue;
@@ -668,7 +707,7 @@ void RlaSender::check_subtrees() {
       any_active = true;
       last = std::max(last, table_.last_ack_at(m));
     }
-    if (!any_active || now - last < dp.silence_after) continue;
+    if (!any_active || now - last < kSubtreeSilenceAfter) continue;
     // The structural signature's other half: somebody OUTSIDE the subtree
     // was heard from recently.  All-quiet is a sender-side stall (or the
     // pre-start idle), not a partition — that shape belongs to the timeout
@@ -678,7 +717,7 @@ void RlaSender::check_subtrees() {
       const int idx = static_cast<int>(i);
       if (census_.excluded(idx)) continue;
       if (i < subtree_of_.size() && subtree_of_[i] == sid) continue;
-      if (now - table_.last_ack_at(idx) <= dp.silence_after)
+      if (now - table_.last_ack_at(idx) <= kSubtreeSilenceAfter)
         outside_alive = true;
     }
     if (!outside_alive) continue;
@@ -736,11 +775,11 @@ void RlaSender::note_heal_ack(const net::Packet& ack, int idx) {
     st.phase = Subtree::Phase::kRamping;
     st.healed_at = sim_.now();
     st.ramp_next = cum;
-    st.ramp_burst = std::max(1, params_.degrade.ramp_initial_burst);
+    st.ramp_burst = kRampInitialBurst;
     events_[st.event_index].healed_at = st.healed_at;
     if (!ramp_timer_)
       ramp_timer_ = std::make_unique<sim::Timer>(sim_, [this] { ramp_tick(); });
-    if (!was_ramping) ramp_timer_->schedule(params_.degrade.ramp_tick);
+    if (!was_ramping) ramp_timer_->schedule(kRampTick);
   } else if (cum < st.ramp_next) {
     // A later healer is further behind: back the catch-up cursor down.
     st.ramp_next = cum;
@@ -750,7 +789,6 @@ void RlaSender::note_heal_ack(const net::Packet& ack, int idx) {
 }
 
 void RlaSender::ramp_tick() {
-  const SubtreeDegradeParams& dp = params_.degrade;
   for (auto& [sid, st] : subtrees_) {
     (void)sid;
     if (st.phase != Subtree::Phase::kRamping) continue;
@@ -762,7 +800,7 @@ void RlaSender::ramp_tick() {
       send_data_packet(st.ramp_next++, /*rexmit=*/true, net::kNoNode, 0);
       ++ramp_rexmits_;
     }
-    st.ramp_burst = std::min(st.ramp_burst * 2, std::max(1, dp.ramp_max_burst));
+    st.ramp_burst = std::min(st.ramp_burst * 2, kRampMaxBurst);
     // Graduate once the slowest heard rejoiner is within handover range of
     // the send frontier — or once the whole missed backlog has been resent
     // (ramp_next caught the frontier).  The second arm matters on a shared
@@ -777,7 +815,7 @@ void RlaSender::ramp_tick() {
       min_cum = std::min(min_cum, c);
     }
     if (st.ramp_next >= next_seq_ ||
-        next_seq_ - min_cum <= dp.handover_packets)
+        next_seq_ - min_cum <= kHandoverPackets)
       graduate_subtree(st);
   }
   bool any_ramping = false;
@@ -786,7 +824,7 @@ void RlaSender::ramp_tick() {
       any_ramping = true;
       break;
     }
-  if (any_ramping) ramp_timer_->schedule(dp.ramp_tick);
+  if (any_ramping) ramp_timer_->schedule(kRampTick);
 }
 
 void RlaSender::graduate_subtree(Subtree& st) {

@@ -85,9 +85,9 @@ class RlaSender final : public net::Agent, public replay::Snapshotable {
   void start_at(sim::SimTime when);
 
   /// Assigns receiver `idx` to topology subtree `subtree` for the
-  /// structural-degradation detector (SubtreeDegradeParams).  The topology
+  /// structural-degradation detector (RlaParams::degrade).  The topology
   /// builder knows which receivers share a partitionable uplink; the sender
-  /// only needs the grouping.  No-op unless params().degrade.enabled, so
+  /// only needs the grouping.  No-op unless params().degrade, so
   /// wiring it up unconditionally keeps default runs byte-identical.
   void set_subtree(int idx, int subtree);
 
@@ -179,7 +179,7 @@ class RlaSender final : public net::Agent, public replay::Snapshotable {
                         net::PortId unicast_port);
   void on_timeout();
   void drop_silent_receivers();
-  // Structural degradation (SubtreeDegradeParams); all no-ops when off.
+  // Structural degradation (RlaParams::degrade); all no-ops when off.
   struct Subtree {
     enum class Phase { kHealthy, kExcised, kRamping };
     Phase phase = Phase::kHealthy;
@@ -235,7 +235,7 @@ class RlaSender final : public net::Agent, public replay::Snapshotable {
 
   std::map<net::SeqNum, SendInfo> send_info_;
 
-  // Frontier watchdog (see FrontierWatchdogParams).
+  // Frontier watchdog (see RlaParams::frontier_watchdog).
   sim::SimTime last_frontier_progress_ = 0.0;
   std::uint64_t acks_since_progress_ = 0;
   std::uint64_t watchdog_quarantines_ = 0;

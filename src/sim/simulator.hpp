@@ -83,7 +83,7 @@ class Simulator {
 };
 
 /// A restartable one-shot timer bound to a simulator, used for protocol
-/// retransmission timers, delayed ACKs, monitor ticks, and rate pacing.
+/// retransmission timers, monitor ticks, and rate pacing.
 ///
 /// Re-arming an armed timer retargets the pending event in place through the
 /// scheduler's handle API — the event's inline callback stays in its slab

@@ -5,67 +5,37 @@
 namespace rlacast::tcp {
 
 TcpReceiver::TcpReceiver(net::Network& network, net::NodeId node,
-                         net::PortId port, std::int32_t ack_bytes,
-                         sim::SimTime max_ack_overhead)
+                         net::PortId port, sim::SimTime max_ack_overhead)
     : network_(network),
       node_(node),
       port_(port),
-      ack_bytes_(ack_bytes),
       ack_pacer_(network.simulator(), network,
                  network.simulator().rng_stream(
                      "tcp-ack-overhead-" + std::to_string(node) + "-" +
                      std::to_string(port)),
-                 max_ack_overhead),
-      delack_timer_(network.simulator(), [this] {
-        unacked_in_order_ = 0;
-        send_ack(net::kNoSeq, 0.0, false);
-      }) {
+                 max_ack_overhead) {
   network_.attach(node_, port_, this);
 }
 
 void TcpReceiver::on_receive(const net::Packet& p) {
   if (p.type != net::PacketType::kData) return;
-  last_data_src_ = p.src;
-  last_data_sport_ = p.src_port;
-  flow_ = p.flow;
-  const net::SeqNum cum_before = buf_.cum_ack();
   if (buf_.add(p.seq))
     ++received_;
   else
     ++duplicates_;
 
-  if (delayed_ack_) {
-    // Delay only clean in-order arrivals; anything unusual (gap, reorder,
-    // duplicate, CE mark) must be reported immediately so the sender's
-    // loss/congestion detection is not slowed down.
-    const bool in_order = buf_.cum_ack() == cum_before + 1 &&
-                          buf_.ooo_count() == 0 && !p.ce;
-    if (in_order && ++unacked_in_order_ < 2) {
-      delack_timer_.schedule(kDelAckTimeout);
-      return;
-    }
-    unacked_in_order_ = 0;
-    delack_timer_.cancel();
-  }
-
-  send_ack(p.seq, p.ts_echo, p.ce);
-}
-
-void TcpReceiver::send_ack(net::SeqNum trigger_seq, sim::SimTime ts,
-                           bool ece) {
-  if (last_data_src_ == net::kNoNode) return;  // nothing to acknowledge yet
   net::Packet ack;
   ack.type = net::PacketType::kAck;
-  ack.flow = flow_;
+  ack.flow = p.flow;
   ack.src = node_;
-  ack.dst = last_data_src_;
+  ack.dst = p.src;
   ack.src_port = port_;
-  ack.dst_port = last_data_sport_;
-  ack.size_bytes = ack_bytes_;
+  ack.dst_port = p.src_port;
+  ack.size_bytes = net::kAckPacketBytes;
   ack.ack = buf_.cum_ack();
-  ack.seq = trigger_seq;  // seq that triggered this ACK (for Karn check)
-  ack.ts_echo = ts;       // sender timestamp echo
-  ack.ece = ece;          // echo a congestion-experienced mark (ECN)
+  ack.seq = p.seq;          // seq that triggered this ACK (for Karn check)
+  ack.ts_echo = p.ts_echo;  // sender timestamp echo
+  ack.ece = p.ce;           // echo a congestion-experienced mark (ECN)
   ack.n_sack = static_cast<std::uint8_t>(
       buf_.sack_blocks(ack.sack.data(), net::kMaxSackBlocks));
   ack_pacer_.send(ack);

@@ -15,14 +15,7 @@ class TcpReceiver final : public net::Agent {
   /// `max_ack_overhead` adds Uniform(0, max) processing time per ACK — the
   /// §3.1 phase-effect randomization on the feedback path (drop-tail runs).
   TcpReceiver(net::Network& network, net::NodeId node, net::PortId port,
-              std::int32_t ack_bytes = net::kAckPacketBytes,
               sim::SimTime max_ack_overhead = 0.0);
-
-  /// Delayed ACKs (RFC 1122-style, simplified): acknowledge every second
-  /// in-order segment; out-of-order data, ECN marks, and gap-filling data
-  /// are ACKed immediately. Off by default (the paper's receivers ACK every
-  /// packet).
-  void set_delayed_ack(bool enabled) { delayed_ack_ = enabled; }
 
   void on_receive(const net::Packet& p) override;
 
@@ -31,24 +24,11 @@ class TcpReceiver final : public net::Agent {
   std::uint64_t duplicates_received() const { return duplicates_; }
 
  private:
-  /// Emits an ACK reflecting current buffer state. `trigger_seq` / `ts` /
-  /// `ece` echo the data packet that caused it (kNoSeq for timer ACKs).
-  void send_ack(net::SeqNum trigger_seq, sim::SimTime ts, bool ece);
-
   net::Network& network_;
   net::NodeId node_;
   net::PortId port_;
-  std::int32_t ack_bytes_;
   net::SendPacer ack_pacer_;
   ReassemblyBuffer buf_;
-  bool delayed_ack_ = false;
-  int unacked_in_order_ = 0;  // in-order segments since the last ACK
-  sim::Timer delack_timer_;
-  static constexpr sim::SimTime kDelAckTimeout = 0.2;
-  // Return address learned from the data path (needed by timer-driven ACKs).
-  net::NodeId last_data_src_ = net::kNoNode;
-  net::PortId last_data_sport_ = 0;
-  net::FlowId flow_ = -1;
   std::uint64_t received_ = 0;
   std::uint64_t duplicates_ = 0;
 };

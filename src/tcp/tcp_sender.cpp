@@ -8,6 +8,9 @@ namespace rlacast::tcp {
 
 namespace {
 
+/// SACK loss rule and Reno/Tahoe fast-retransmit threshold.
+constexpr int kDupThresh = 3;
+
 std::unique_ptr<cc::LossResponsePolicy> make_policy(TcpVariant variant) {
   switch (variant) {
     case TcpVariant::kSack:
@@ -40,14 +43,11 @@ TcpSender::TcpSender(net::Network& network, net::NodeId node, net::PortId port,
       pacer_(sim_, network,
              sim_.rng_stream("tcp-overhead-" + std::to_string(flow)),
              params.max_send_overhead),
-      peer_(params.rtt),
       win_(cc::WindowParams{.initial_cwnd = params.initial_cwnd,
                             .initial_ssthresh = params.initial_ssthresh,
                             .max_cwnd = params.max_cwnd}),
       rto_(sim_, [this] { on_timeout(); }),
       policy_(make_policy(params.variant)),
-      vegas_(params.vegas),
-      bbr_(params.bbr),
       pace_timer_(sim_, [this] { pace_bbr(); }) {
   network_.attach(node_, port_, this);
   meas_.note_cwnd(0.0, win_.cwnd());
@@ -157,7 +157,7 @@ void TcpSender::on_ack(const net::Packet& ack) {
 void TcpSender::on_ack_sack(const net::Packet& ack,
                             std::int64_t newly_acked) {
   peer_.sb.apply_sack(ack.sack.data(), ack.n_sack);
-  const int new_losses = peer_.sb.detect_losses(params_.dupthresh);
+  const int new_losses = peer_.sb.detect_losses(kDupThresh);
 
   // Recovery state machine: one halving per loss episode. A policy that
   // answers kNone (the BBR-style competitor) registers the signal but no
@@ -197,7 +197,7 @@ void TcpSender::on_ack_reno(const net::Packet& ack,
   if (newly_acked == 0) {
     if (peer_.sb.outstanding() == 0) return;  // stray ACK
     ++dupacks_;
-    if (!grouper_.in_episode() && dupacks_ == params_.dupthresh) {
+    if (!grouper_.in_episode() && dupacks_ == kDupThresh) {
       // Fast retransmit.
       meas_.note_congestion_signal();
       meas_.note_window_cut();
@@ -213,7 +213,7 @@ void TcpSender::on_ack_reno(const net::Packet& ack,
         // Reno: halve and inflate by the dupacks already seen.
         grouper_.open_episode(peer_.sb.high());
         apply_cut(action);
-        inflation_ = static_cast<double>(params_.dupthresh);
+        inflation_ = static_cast<double>(kDupThresh);
       }
     } else if (grouper_.in_episode()) {
       inflation_ += 1.0;  // every further dupack means a packet left the pipe
@@ -375,7 +375,7 @@ void TcpSender::send_packet(net::SeqNum seq, bool rexmit) {
   p.dst = dst_node_;
   p.src_port = port_;
   p.dst_port = dst_port_;
-  p.size_bytes = params_.packet_bytes;
+  p.size_bytes = net::kDataPacketBytes;
   p.seq = seq;
   p.ts_echo = sim_.now();
   p.is_rexmit = rexmit;

@@ -67,12 +67,6 @@ struct TcpParams {
   double initial_cwnd = 1.0;
   double initial_ssthresh = 64.0;
   double max_cwnd = 1e6;          // receiver window, packets
-  int dupthresh = 3;
-  std::int32_t packet_bytes = net::kDataPacketBytes;
-  std::int32_t ack_bytes = net::kAckPacketBytes;
-  /// Estimator tuning; the shared TCP/RLA defaults live in
-  /// cc/rtt_estimator.hpp.
-  cc::RttEstimatorParams rtt{};
   /// Random per-packet sender processing time, Uniform(0, max): §3.1's
   /// phase-effect elimination. 0 disables. Competing flows must use the
   /// same bound as RlaParams::max_send_overhead — unequal jitter quietly
@@ -87,10 +81,6 @@ struct TcpParams {
   /// fires the on_complete callback once fully acknowledged, and goes
   /// quiescent (timers cancelled).
   std::int64_t flow_packets = 0;
-  /// Vegas-style tuning (kVegas only).
-  cc::DelayGradientParams vegas{};
-  /// BBR-style tuning (kBbr only).
-  cc::BbrParams bbr{};
 };
 
 class TcpSender final : public net::Agent {

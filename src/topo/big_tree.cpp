@@ -15,8 +15,23 @@
 namespace rlacast::topo {
 namespace {
 
-double pps_to_bps(double pps, std::int32_t pkt_bytes) {
-  return pps * static_cast<double>(pkt_bytes) * 8.0;
+/// Leading group links that carry the soft bottleneck + background TCP.
+constexpr int kCongestedGroups = 4;
+/// Uncongested hops and collapsed ACK paths.
+constexpr double kFastLinkBps = 10e9;
+constexpr sim::SimTime kUpperDelay = sim::milliseconds(5);
+constexpr sim::SimTime kLeafDelay = sim::milliseconds(100);
+/// Per-ACK processing jitter at the group receivers, Uniform(0, max).
+/// Replaces the per-host jitter the collapse removed: without it every
+/// member of every group answers one multicast delivery at the same instant
+/// and the shared reverse queues see a synchronized burst.
+constexpr sim::SimTime kAckSpread = 0.02;
+/// Sampling period of the materialized-scoreboard / state-bytes high-water
+/// probes.
+constexpr sim::SimTime kSamplePeriod = 0.5;
+
+double pps_to_bps(double pps) {
+  return pps * static_cast<double>(net::kDataPacketBytes) * 8.0;
 }
 
 }  // namespace
@@ -29,7 +44,7 @@ BigTreeResult run_big_tree(const BigTreeConfig& cfg) {
 
   const int groups =
       (cfg.receivers + cfg.group_size - 1) / cfg.group_size;
-  const int congested = std::min(cfg.congested_groups, groups);
+  const int congested = std::min(kCongestedGroups, groups);
   const int branches = std::max(
       1, static_cast<int>(std::lround(std::ceil(std::sqrt(groups)))));
 
@@ -42,15 +57,17 @@ BigTreeResult run_big_tree(const BigTreeConfig& cfg) {
   for (auto& n : leaf) n = net.add_node();
 
   // --- links -----------------------------------------------------------------
-  const std::int32_t pkt_bytes = cfg.rla.packet_bytes;
-  const std::size_t ack_buf =
-      cfg.ack_buffer_pkts > 0
-          ? cfg.ack_buffer_pkts
-          : static_cast<std::size_t>(cfg.receivers) + 64;
+  // The fast interior hops and the collapsed ACK reverse paths are sized to
+  // the ACK fan-in (receivers + slack).  Leaving these at the bottleneck's
+  // 20 packets silently drops most of the synchronized n-receiver ACK
+  // answer once n reaches ~10^4 (feedback implosion), and the bench then
+  // measures interior queue sizing instead of the gateway discipline under
+  // test.
+  const std::size_t ack_buf = static_cast<std::size_t>(cfg.receivers) + 64;
   net::LinkConfig fast;
-  fast.bandwidth_bps = cfg.fast_link_bps;
+  fast.bandwidth_bps = kFastLinkBps;
   fast.buffer_pkts = ack_buf;
-  fast.delay = cfg.upper_delay;
+  fast.delay = kUpperDelay;
 
   net.connect(s, g1, fast);
   for (int b = 0; b < branches; ++b)
@@ -61,15 +78,15 @@ BigTreeResult run_big_tree(const BigTreeConfig& cfg) {
   // the paper's soft-bottleneck capacity mu = share_pps * (m + 1) with one
   // background TCP (m = 1); its reverse stands in for group_size collapsed
   // per-leaf ACK paths and stays fast.
-  const double cap_bps = pps_to_bps(cfg.share_pps * 2.0, pkt_bytes);
+  const double cap_bps = pps_to_bps(cfg.share_pps * 2.0);
   std::vector<net::Link*> bottleneck_links;
   for (int g = 0; g < groups; ++g) {
     const net::NodeId up = branch[static_cast<std::size_t>(g % branches)];
-    net::LinkConfig c = fast.with_delay(cfg.leaf_delay);
+    net::LinkConfig c = fast.with_delay(kLeafDelay);
     if (g < congested) {
       c.bandwidth_bps = cap_bps;
       c.buffer_pkts = cfg.buffer_pkts;  // the soft bottleneck stays small
-      c.reverse_bandwidth_bps = cfg.fast_link_bps;
+      c.reverse_bandwidth_bps = kFastLinkBps;
       c.reverse_buffer_pkts = ack_buf;  // the group's collapsed ACK paths
       c.queue = cfg.gateway == GatewayType::kRed ? net::QueueKind::kRed
                                                  : net::QueueKind::kDropTail;
@@ -84,7 +101,7 @@ BigTreeResult run_big_tree(const BigTreeConfig& cfg) {
   // derived from the bottleneck serialization time (see run_tertiary_tree).
   const sim::SimTime overhead =
       cfg.gateway == GatewayType::kDropTail
-          ? static_cast<double>(pkt_bytes) * 8.0 / cap_bps
+          ? static_cast<double>(net::kDataPacketBytes) * 8.0 / cap_bps
           : 0.0;
 
   // --- the RLA session -------------------------------------------------------
@@ -108,11 +125,9 @@ BigTreeResult run_big_tree(const BigTreeConfig& cfg) {
     ids.reserve(static_cast<std::size_t>(members));
     for (int m = 0; m < members; ++m)
       ids.push_back(sender->add_receiver(node, rcvr_port));
-    rla::GroupReceiverOptions gopts;
-    gopts.max_ack_overhead = std::max(cfg.ack_spread, overhead);
     group_receivers.push_back(std::make_unique<rla::GroupReceiver>(
         net, node, rcvr_port, group_id, s, sender_port, std::move(ids),
-        gopts));
+        std::max(kAckSpread, overhead)));
   }
   assert(remaining == 0);
 
@@ -125,14 +140,21 @@ BigTreeResult run_big_tree(const BigTreeConfig& cfg) {
     tcp::TcpParams tp = cfg.tcp;
     tp.max_send_overhead = overhead;
     tcp_receivers.push_back(std::make_unique<tcp::TcpReceiver>(
-        net, node, port, net::kAckPacketBytes, overhead));
+        net, node, port, overhead));
     tcp_senders.push_back(std::make_unique<tcp::TcpSender>(
         net, s, port, node, port, static_cast<net::FlowId>(g + 1), tp));
   }
 
   auto starts = sim.rng_stream("start-jitter");
   for (auto& t : tcp_senders) t->start_at(starts.uniform(0.0, 1.0));
-  sender->start_at(cfg.rla_start + starts.uniform(0.0, 0.5));
+  // The RLA session starts (plus jitter) alongside the background TCPs, so
+  // every session slow-starts into the same empty queues — the paper's
+  // setups start flows together.  Starting it AFTER the TCPs entrench is a
+  // known trap at scale: on a RED queue held at a persistent drop
+  // probability by full-window TCPs, every small restart burst tail-loses
+  // (no packets after the hole -> no dupacks -> full RTO), and the session
+  // never escapes the timeout/collapse cycle.
+  sender->start_at(starts.uniform(0.0, 0.5));
 
   BigTreeResult res;
   res.nodes = static_cast<int>(net.node_count());
@@ -142,18 +164,15 @@ BigTreeResult run_big_tree(const BigTreeConfig& cfg) {
     sender->measurement().begin_measurement(sim.now());
     for (auto& t : tcp_senders) t->measurement().begin_measurement(sim.now());
   });
-  std::unique_ptr<sim::Timer> sampler;
-  if (cfg.sample_period > 0.0) {
-    sampler = std::make_unique<sim::Timer>(sim, [&] {
-      res.materialized_hiwater =
-          std::max(res.materialized_hiwater, sender->materialized_scoreboards());
-      res.sender_state_bytes_hiwater =
-          std::max(res.sender_state_bytes_hiwater, sender->state_bytes());
-      if (sim.now() + cfg.sample_period <= cfg.duration)
-        sampler->schedule(cfg.sample_period);
-    });
-    sampler->schedule(cfg.sample_period);
-  }
+  sim::Timer sampler(sim, [&] {
+    res.materialized_hiwater =
+        std::max(res.materialized_hiwater, sender->materialized_scoreboards());
+    res.sender_state_bytes_hiwater =
+        std::max(res.sender_state_bytes_hiwater, sender->state_bytes());
+    if (sim.now() + kSamplePeriod <= cfg.duration)
+      sampler.schedule(kSamplePeriod);
+  });
+  sampler.schedule(kSamplePeriod);
   sim.run_until(cfg.duration);
 
   // --- results ---------------------------------------------------------------

@@ -1,8 +1,8 @@
 // Large-topology builder: the scale companion to run_tertiary_tree.
 //
-// The paper validates Theorems I/II on 27 receivers; the ROADMAP's north
-// star is 10^4..10^6.  Simulating a million individual leaves would spend
-// all memory on the NETWORK model and mask the quantity the scale bench
+// The paper validates Theorems I/II on 27 receivers; bench_scale runs up
+// to 10^5.  Simulating that many individual leaves would spend all memory
+// on the NETWORK model and mask the quantity the scale bench
 // measures — sender bytes per receiver — so this builder collapses each
 // group of `group_size` co-located receivers into one leaf node carrying a
 // single rla::GroupReceiver (one reassembly buffer, one downstream loss
@@ -11,14 +11,14 @@
 //
 //     S --- G1 --- branch_j --- group leaf (g members each)
 //
-// with ~sqrt(#groups) branches.  The first `congested_groups` group links
-// are the paper's soft bottlenecks: capacity share_pps * (1 TCP + 1)
-// packets/s, RED or drop-tail per `gateway`, one competing background TCP
-// each; every other hop is fast.  A group link's REVERSE direction stands
-// in for g independent per-leaf ACK paths, so it is provisioned at
-// fast_link_bps (see net::LinkConfig::reverse_bandwidth_bps) — collapsing
-// the subtree must not invent an ACK bottleneck that the uncollapsed tree
-// does not have.
+// with ~sqrt(#groups) branches.  The first four group links are the
+// paper's soft bottlenecks: capacity share_pps * (1 TCP + 1) packets/s, RED
+// or drop-tail per `gateway`, one competing background TCP each; every
+// other hop is fast (10 Gbit/s; 5 ms upper, 100 ms leaf delay).  A group
+// link's REVERSE direction stands in for g independent per-leaf ACK paths,
+// so it is provisioned at the fast rate (see
+// net::LinkConfig::reverse_bandwidth_bps) — collapsing the subtree must
+// not invent an ACK bottleneck that the uncollapsed tree does not have.
 #pragma once
 
 #include <cstdint>
@@ -39,46 +39,16 @@ struct BigTreeConfig {
   int receivers = 1000;
   /// Members collapsed per group leaf; the last group takes the remainder.
   int group_size = 25;
-  /// Leading group links that carry the soft bottleneck + background TCP.
-  int congested_groups = 4;
 
   GatewayType gateway = GatewayType::kRed;
   double share_pps = 100.0;       // paper capacity rule: mu / (m + 1)
-  double fast_link_bps = 10e9;    // uncongested hops and collapsed ACK paths
   /// Buffer of the congested bottleneck hops (paper-scale, small).
   std::size_t buffer_pkts = 20;
-  /// Buffer of the fast interior hops and the collapsed ACK reverse paths;
-  /// 0 = auto-size to the ACK fan-in (receivers + slack).  Leaving these at
-  /// the bottleneck's 20 packets silently drops most of the synchronized
-  /// n-receiver ACK answer once n reaches ~10^4 (feedback implosion), and
-  /// the bench then measures interior queue sizing instead of the gateway
-  /// discipline under test.
-  std::size_t ack_buffer_pkts = 0;
   net::RedParams red{};
-  sim::SimTime upper_delay = sim::milliseconds(5);
-  sim::SimTime leaf_delay = sim::milliseconds(100);
-
-  /// Per-ACK processing jitter at the group receivers, Uniform(0, max).
-  /// Replaces the per-host jitter the collapse removed: without it every
-  /// member of every group answers one multicast delivery at the same
-  /// instant and the shared reverse queues see a synchronized burst.
-  sim::SimTime ack_spread = 0.02;
 
   double duration = 20.0;
   double warmup = 5.0;
-  /// RLA session start (plus jitter). Defaults alongside the background
-  /// TCPs (which start inside the first second) so every session
-  /// slow-starts into the same empty queues — the paper's setups start
-  /// flows together.  Starting the RLA session AFTER the TCPs entrench is
-  /// a known trap at scale: on a RED queue held at a persistent drop
-  /// probability by full-window TCPs, every small restart burst tail-loses
-  /// (no packets after the hole -> no dupacks -> full RTO), and the
-  /// session never escapes the timeout/collapse cycle.
-  sim::SimTime rla_start = 0.0;
   std::uint64_t seed = 1;
-  /// Sampling period of the materialized-scoreboard / state-bytes
-  /// high-water probes; 0 disables sampling (final values only).
-  sim::SimTime sample_period = 0.5;
 
   rla::RlaParams rla{};
   tcp::TcpParams tcp{};

@@ -4,11 +4,18 @@
 
 namespace rlacast::topo {
 
-FailoverManager::FailoverManager(net::Network& net, FailoverConfig cfg)
-    : net_(net),
-      sim_(net.simulator()),
-      cfg_(cfg),
-      timer_(sim_, [this] { poll(); }) {}
+namespace {
+
+/// Primary-down dwell before the flip — the detection delay of the repair
+/// protocol (keep well above the poll period).
+constexpr sim::SimTime kDetectDelay = 0.5;
+/// Interface poll period.
+constexpr sim::SimTime kPoll = 0.05;
+
+}  // namespace
+
+FailoverManager::FailoverManager(net::Network& net)
+    : net_(net), sim_(net.simulator()), timer_(sim_, [this] { poll(); }) {}
 
 void FailoverManager::add_route(const BackupRoute& r) {
   Route rt;
@@ -27,7 +34,7 @@ void FailoverManager::watch_group(net::GroupId g, net::NodeId source,
   groups_.push_back({g, source, std::move(members)});
 }
 
-void FailoverManager::start() { timer_.schedule(cfg_.poll); }
+void FailoverManager::start() { timer_.schedule(kPoll); }
 
 std::uint64_t FailoverManager::backup_delivered(const Route& rt) const {
   return rt.backup_fwd->packets_delivered() +
@@ -42,7 +49,7 @@ std::uint64_t FailoverManager::packets_rerouted() const {
 }
 
 void FailoverManager::poll() {
-  timer_.schedule(cfg_.poll);
+  timer_.schedule(kPoll);
   const sim::SimTime now = sim_.now();
   bool dirty = false;
   for (Route& rt : routes_) {
@@ -69,7 +76,7 @@ void FailoverManager::poll() {
       rt.down_since = now;
       continue;
     }
-    if (now - rt.down_since < cfg_.detect_delay) continue;
+    if (now - rt.down_since < kDetectDelay) continue;
     // A crashed child router downs its backup uplink too (NodeFailure is
     // atomic over the node's interfaces): nothing to fail over to, keep
     // waiting — subtree excision owns that scenario.

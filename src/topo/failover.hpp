@@ -12,14 +12,14 @@
 //     it);
 //   * a poll timer probes the primary uplink's interface state in both
 //     directions (Link::interface_down — non-mutating, no traffic needed);
-//   * once the primary has been down for detect_delay, the manager flips
+//   * once the primary has been down for 0.5 s, the manager flips
 //     routing (primary off, backup on), recomputes BFS routes, and
 //     re-grafts every watched multicast group over the new paths;
 //   * when the primary heals, the flip reverts the same way.
 //
 // A router crash (fault::NodeFailure) downs the backup uplink too — there
 // is nothing to fail over TO, so no flip happens and the sender-side
-// subtree excision (rla::SubtreeDegradeParams) is the protection that
+// subtree excision (rla::RlaParams::degrade) is the protection that
 // engages instead.  The two mechanisms are deliberately complementary:
 // failover repairs *paths*, excision repairs *sessions*.
 //
@@ -45,17 +45,9 @@ struct BackupRoute {
   net::NodeId backup_parent = net::kNoNode;
 };
 
-struct FailoverConfig {
-  /// Primary-down dwell before the flip — the detection delay of the
-  /// repair protocol (keep well above the poll period).
-  sim::SimTime detect_delay = 0.5;
-  /// Interface poll period.
-  sim::SimTime poll = 0.05;
-};
-
 class FailoverManager {
  public:
-  FailoverManager(net::Network& net, FailoverConfig cfg);
+  explicit FailoverManager(net::Network& net);
 
   /// Registers a protected subtree root. Call before start().
   void add_route(const BackupRoute& r);
@@ -99,7 +91,6 @@ class FailoverManager {
 
   net::Network& net_;
   sim::Simulator& sim_;
-  FailoverConfig cfg_;
   std::vector<Route> routes_;
   std::vector<WatchedGroup> groups_;
   sim::Timer timer_;

@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <memory>
-#include <string>
 
 #include "net/network.hpp"
 #include "rla/rla_receiver.hpp"
@@ -13,8 +12,11 @@
 namespace rlacast::topo {
 namespace {
 
-double pps_to_bps(double pps, std::int32_t pkt_bytes) {
-  return pps * static_cast<double>(pkt_bytes) * 8.0;
+constexpr double kFastLinkBps = 100e6;
+constexpr sim::SimTime kHopDelay = sim::milliseconds(5);  // 3 hops per branch
+
+double pps_to_bps(double pps) {
+  return pps * static_cast<double>(net::kDataPacketBytes) * 8.0;
 }
 
 }  // namespace
@@ -32,7 +34,7 @@ FlatTreeResult run_flat_tree(const FlatTreeConfig& cfg) {
   base.queue = queue_kind;
   base.buffer_pkts = cfg.buffer_pkts;
   base.red = cfg.red;
-  base.delay = cfg.hop_delay;
+  base.delay = kHopDelay;
 
   // --- nodes -----------------------------------------------------------------
   const net::NodeId s = net.add_node();
@@ -44,22 +46,20 @@ FlatTreeResult run_flat_tree(const FlatTreeConfig& cfg) {
   }
 
   // --- links -----------------------------------------------------------------
-  const std::int32_t pkt_bytes = cfg.rla.packet_bytes;
   const bool shared = cfg.shared_bottleneck_pps > 0.0;
-  const double shared_bps = pps_to_bps(cfg.shared_bottleneck_pps, pkt_bytes);
+  const double shared_bps = pps_to_bps(cfg.shared_bottleneck_pps);
 
-  net.connect(s, g,
-              base.with_bandwidth(shared ? shared_bps : cfg.fast_link_bps));
-  double slowest_bps = shared ? shared_bps : cfg.fast_link_bps;
+  net.connect(s, g, base.with_bandwidth(shared ? shared_bps : kFastLinkBps));
+  double slowest_bps = shared ? shared_bps : kFastLinkBps;
   std::vector<net::Link*> bottleneck_links;
   if (shared) bottleneck_links.push_back(net.link_between(s, g));
   for (std::size_t i = 0; i < n_branches; ++i) {
     const double mu_bps =
-        shared ? cfg.fast_link_bps : pps_to_bps(cfg.branches[i].mu_pps, pkt_bytes);
+        shared ? kFastLinkBps : pps_to_bps(cfg.branches[i].mu_pps);
     net.connect(g, b[i], base.with_bandwidth(mu_bps));
     net.connect(b[i], r[i],
-                base.with_bandwidth(cfg.fast_link_bps)
-                    .with_delay(cfg.hop_delay + cfg.branches[i].extra_delay));
+                base.with_bandwidth(kFastLinkBps)
+                    .with_delay(kHopDelay + cfg.branches[i].extra_delay));
     if (!shared) {
       bottleneck_links.push_back(net.link_between(g, b[i]));
       slowest_bps = std::min(slowest_bps, mu_bps);
@@ -76,7 +76,7 @@ FlatTreeResult run_flat_tree(const FlatTreeConfig& cfg) {
          "RLA and TCP flows must share the same send-jitter bound");
   const sim::SimTime overhead =
       (cfg.gateway == GatewayType::kDropTail && cfg.phase_randomization)
-          ? static_cast<double>(pkt_bytes) * 8.0 / slowest_bps
+          ? static_cast<double>(net::kDataPacketBytes) * 8.0 / slowest_bps
           : 0.0;
 
   // --- multicast session -----------------------------------------------------
@@ -110,7 +110,7 @@ FlatTreeResult run_flat_tree(const FlatTreeConfig& cfg) {
       tcp::TcpParams tp = cfg.tcp;
       tp.max_send_overhead = overhead;
       tcp_receivers.push_back(std::make_unique<tcp::TcpReceiver>(
-          net, r[i], dport, net::kAckPacketBytes, overhead));
+          net, r[i], dport, overhead));
       tcp_senders.push_back(std::make_unique<tcp::TcpSender>(
           net, s, sport, r[i], dport, flow, tp));
       tcp_branch.push_back(static_cast<int>(i));
@@ -118,32 +118,10 @@ FlatTreeResult run_flat_tree(const FlatTreeConfig& cfg) {
     }
   }
 
-  // --- fairness telemetry (inert unless cfg.fairness.window > 0) --------------
-  stats::FairnessMonitor fmon(sim, cfg.fairness);
-  if (fmon.enabled()) {
-    if (rla_sender) {
-      rla::RlaSender* m = rla_sender.get();
-      fmon.add_probe(
-          {"rla",
-           [m] { return static_cast<double>(m->measurement().total_acked()); },
-           [] { return false; }});
-    }
-    for (std::size_t i = 0; i < tcp_senders.size(); ++i) {
-      tcp::TcpSender* t = tcp_senders[i].get();
-      fmon.add_probe(
-          {"tcp-" + std::to_string(i),
-           [t] { return static_cast<double>(t->measurement().total_acked()); },
-           [t] { return t->app_limited(); }});
-    }
-  }
-
   // --- start times: scheduled to desynchronize --------------------------------
   auto starts = sim.rng_stream("start-jitter");
-  int start_idx = 0;
-  for (auto& t : tcp_senders)
-    t->start_at(workload::start_time(cfg.schedule, start_idx++, starts));
-  if (rla_sender)
-    rla_sender->start_at(workload::start_time(cfg.schedule, start_idx++, starts));
+  for (auto& t : tcp_senders) t->start_at(starts.uniform(0.0, 1.0));
+  if (rla_sender) rla_sender->start_at(starts.uniform(0.0, 1.0));
 
   // --- run -------------------------------------------------------------------
   sim.at(cfg.warmup, [&] {
@@ -166,9 +144,6 @@ FlatTreeResult run_flat_tree(const FlatTreeConfig& cfg) {
   for (auto& t : tcp_senders)
     res.tcps.push_back(make_row(t->measurement(), cfg.duration));
   res.tcp_branch = std::move(tcp_branch);
-  res.fairness_samples = fmon.samples();
-  res.min_jain = fmon.min_jain();
-  res.mean_jain = fmon.mean_jain();
   for (net::Link* l : bottleneck_links)
     res.bottleneck_drop_rate.push_back(l->queue().stats().drop_rate());
   return res;

@@ -16,10 +16,8 @@
 #include "net/red.hpp"
 #include "rla/rla_params.hpp"
 #include "sim/time.hpp"
-#include "stats/fairness_monitor.hpp"
 #include "tcp/tcp_sender.hpp"
 #include "topo/flow_rows.hpp"
-#include "workload/workload.hpp"
 
 namespace rlacast::sim {
 class Simulator;
@@ -47,8 +45,6 @@ struct FlatTreeConfig {
   GatewayType gateway = GatewayType::kDropTail;
   std::size_t buffer_pkts = 20;
   net::RedParams red{};  // min_th 5 / max_th 15 defaults
-  double fast_link_bps = 100e6;
-  sim::SimTime hop_delay = sim::milliseconds(5);  // per hop, 3 hops per branch
   bool phase_randomization = true;  // random sender overhead for drop-tail
   sim::SimTime duration = 200.0;
   sim::SimTime warmup = 50.0;
@@ -60,11 +56,6 @@ struct FlatTreeConfig {
   /// built; the replay subsystem installs its RunObserver here. Empty =
   /// unobserved (default).
   std::function<void(sim::Simulator&)> instrument;
-  /// Start-time layout for all senders (kJitter default = the historical
-  /// uniform(0,1) draws, byte-identical).
-  workload::StartScheduleConfig schedule{};
-  /// Sliding-window Jain telemetry over {RLA + TCPs}; window 0 = off.
-  stats::FairnessMonitorConfig fairness{};
 };
 
 struct FlatTreeResult {
@@ -76,10 +67,6 @@ struct FlatTreeResult {
   double rla_mcast_rexmits = 0.0;
   double rla_ucast_rexmits = 0.0;
   int num_troubled_final = 0;
-  /// Jain-index telemetry (empty / -1 unless fairness.window > 0).
-  std::vector<stats::FairnessSample> fairness_samples;
-  double min_jain = -1.0;
-  double mean_jain = -1.0;
 
   const FlowRow& worst_tcp() const { return tcps[worst_index(tcps)]; }
   const FlowRow& best_tcp() const { return tcps[best_index(tcps)]; }

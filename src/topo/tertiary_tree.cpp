@@ -16,8 +16,12 @@
 namespace rlacast::topo {
 namespace {
 
-double pps_to_bps(double pps, std::int32_t pkt_bytes) {
-  return pps * static_cast<double>(pkt_bytes) * 8.0;
+constexpr double kFastLinkBps = 100e6;  // every uncongested link
+constexpr sim::SimTime kUpperDelay = sim::milliseconds(5);   // levels 1-3
+constexpr sim::SimTime kLeafDelay = sim::milliseconds(100);  // level 4
+
+double pps_to_bps(double pps) {
+  return pps * static_cast<double>(net::kDataPacketBytes) * 8.0;
 }
 
 struct LinkRef {
@@ -187,7 +191,6 @@ TreeResult run_tertiary_tree(const TreeConfig& cfg) {
     return l.level == 1 ? 27 : l.level == 2 ? 9 : l.level == 3 ? 3 : 1;
   };
 
-  const std::int32_t pkt_bytes = cfg.rla.packet_bytes;
   const auto queue_kind = cfg.gateway == GatewayType::kRed
                               ? net::QueueKind::kRed
                               : net::QueueKind::kDropTail;
@@ -196,11 +199,10 @@ TreeResult run_tertiary_tree(const TreeConfig& cfg) {
   base.buffer_pkts = cfg.buffer_pkts;
   base.red = cfg.red;
 
-  double slowest_bps = cfg.fast_link_bps;
+  double slowest_bps = kFastLinkBps;
   std::vector<net::Link*> bottleneck_links;
   for (const auto& lr : link_refs) {
-    sim::SimTime hop_delay =
-        lr.level == 4 ? cfg.leaf_delay : cfg.upper_delay;
+    sim::SimTime hop_delay = lr.level == 4 ? kLeafDelay : kUpperDelay;
     if (lr.level == 4 && cfg.leaf_delay_spread > 0.0)
       hop_delay *= 1.0 + cfg.leaf_delay_spread *
                              static_cast<double>(lr.index - 1) / 26.0;
@@ -212,10 +214,10 @@ TreeResult run_tertiary_tree(const TreeConfig& cfg) {
       // so the +1 stays +1 regardless of session count.
       const double cap_pps =
           cfg.share_pps * static_cast<double>(tcp_flows_through(lr) + 1);
-      c.bandwidth_bps = pps_to_bps(cap_pps, pkt_bytes);
+      c.bandwidth_bps = pps_to_bps(cap_pps);
       slowest_bps = std::min(slowest_bps, c.bandwidth_bps);
     } else {
-      c.bandwidth_bps = cfg.fast_link_bps;
+      c.bandwidth_bps = kFastLinkBps;
     }
     net.connect(lr.from, lr.to, c);
     if (is_congested(lr)) bottleneck_links.push_back(net.link_between(lr.from, lr.to));
@@ -230,9 +232,9 @@ TreeResult run_tertiary_tree(const TreeConfig& cfg) {
   // own uplink/router.
   std::vector<BackupRoute> backup_routes;
   if (cfg.backup_paths) {
-    net::LinkConfig bc = base.with_delay(cfg.upper_delay);
+    net::LinkConfig bc = base.with_delay(kUpperDelay);
     bc.queue = net::QueueKind::kDropTail;
-    bc.bandwidth_bps = cfg.fast_link_bps;
+    bc.bandwidth_bps = kFastLinkBps;
     for (int j = 0; j < 3; ++j) {
       const net::NodeId bp = g2[static_cast<std::size_t>((j + 1) % 3)];
       auto d = net.connect(bp, g2[static_cast<std::size_t>(j)], bc);
@@ -259,7 +261,7 @@ TreeResult run_tertiary_tree(const TreeConfig& cfg) {
          "RLA and TCP flows must share the same send-jitter bound");
   const sim::SimTime overhead =
       (cfg.gateway == GatewayType::kDropTail && cfg.phase_randomization)
-          ? static_cast<double>(pkt_bytes) * 8.0 / slowest_bps
+          ? static_cast<double>(net::kDataPacketBytes) * 8.0 / slowest_bps
           : 0.0;
 
   // --- multicast sessions ------------------------------------------------------
@@ -280,7 +282,7 @@ TreeResult run_tertiary_tree(const TreeConfig& cfg) {
       const int idx = sender->add_receiver(receivers[i], rport);
       // Structural-degradation grouping: leaf i hangs off G3 gateway i/3,
       // gateway receiver i (>= 27) IS G3 gateway i-27.  No-op (and no
-      // state) unless cfg.rla.degrade.enabled.
+      // state) unless cfg.rla.degrade.
       sender->set_subtree(idx, i < 27 ? static_cast<int>(i) / 3
                                       : static_cast<int>(i) - 27);
       rla_receivers.push_back(std::make_unique<rla::RlaReceiver>(
@@ -330,8 +332,7 @@ TreeResult run_tertiary_tree(const TreeConfig& cfg) {
 
   std::unique_ptr<FailoverManager> failover;
   if (cfg.backup_paths) {
-    failover = std::make_unique<FailoverManager>(
-        net, FailoverConfig{cfg.failover_detect_delay, cfg.failover_poll});
+    failover = std::make_unique<FailoverManager>(net);
     for (const auto& br : backup_routes) failover->add_route(br);
     // Re-grafting must cover every group: a flip rewrites routes globally.
     for (int sess = 0; sess < cfg.multicast_sessions; ++sess)
@@ -408,7 +409,7 @@ TreeResult run_tertiary_tree(const TreeConfig& cfg) {
       tcp::TcpParams tp = cfg.tcp;
       tp.max_send_overhead = overhead;
       tcp_receivers.push_back(std::make_unique<tcp::TcpReceiver>(
-          net, leaf[i], port, net::kAckPacketBytes, overhead));
+          net, leaf[i], port, overhead));
       tcp_senders.push_back(std::make_unique<tcp::TcpSender>(
           net, s, port, leaf[i], port, static_cast<net::FlowId>(i + 1), tp));
     }
@@ -448,15 +449,10 @@ TreeResult run_tertiary_tree(const TreeConfig& cfg) {
   }
 
   auto starts = sim.rng_stream("start-jitter");
-  int start_idx = 0;
-  for (auto& t : tcp_senders)
-    t->start_at(workload::start_time(cfg.traffic.schedule, start_idx++, starts));
-  for (auto& w : web_sources)
-    w->start_at(workload::start_time(cfg.traffic.schedule, start_idx++, starts));
-  for (auto& o : onoff_sources)
-    o->start_at(workload::start_time(cfg.traffic.schedule, start_idx++, starts));
-  for (auto& m : rla_senders)
-    m->start_at(workload::start_time(cfg.traffic.schedule, start_idx++, starts));
+  for (auto& t : tcp_senders) t->start_at(starts.uniform(0.0, 1.0));
+  for (auto& w : web_sources) w->start_at(starts.uniform(0.0, 1.0));
+  for (auto& o : onoff_sources) o->start_at(starts.uniform(0.0, 1.0));
+  for (auto& m : rla_senders) m->start_at(starts.uniform(0.0, 1.0));
 
   TreeResult res;
   std::vector<std::int64_t> web_delivered_at_warmup(web_sources.size(), 0);

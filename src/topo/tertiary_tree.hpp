@@ -67,11 +67,8 @@ struct TreeConfig {
   TreeCase bottleneck = TreeCase::kL4All;
   GatewayType gateway = GatewayType::kDropTail;
   double share_pps = 100.0;  // target soft-bottleneck per-flow share
-  double fast_link_bps = 100e6;
   std::size_t buffer_pkts = 20;
   net::RedParams red{};
-  sim::SimTime upper_delay = sim::milliseconds(5);   // levels 1-3
-  sim::SimTime leaf_delay = sim::milliseconds(100);  // level 4
   /// Per-leaf RTT heterogeneity: leaf i's 100 ms hop is scaled by
   /// 1 + spread * (i-1)/26, so spread = 1 spans 100..200 ms across the 27
   /// leaves. 0 (default) keeps the paper's homogeneous tree. Pair with
@@ -124,11 +121,9 @@ struct TreeConfig {
   /// Provision backup-parent duplexes (drop-tail, fast-link speed; G2
   /// siblings back each other, and each G3 is backed by the next G2 over)
   /// and run a topo::FailoverManager that re-grafts partitioned subtrees
-  /// onto them after failover_detect_delay. Off (default) creates no
-  /// links, no timer — byte-identical to the historical tree.
+  /// onto them after its detection delay. Off (default) creates no links,
+  /// no timer — byte-identical to the historical tree.
   bool backup_paths = false;
-  sim::SimTime failover_detect_delay = 0.5;
-  sim::SimTime failover_poll = 0.05;
   /// Arm a sim::Watchdog (1 s period) with RLA invariant checks: window
   /// bounds, frontier ordering, census sanity, event-horizon progress.
   bool watchdog = false;
@@ -203,7 +198,7 @@ struct TreeResult {
   std::uint64_t census_quarantines = 0;  // defense quarantine transitions
   std::uint64_t census_strikeouts = 0;   // members excluded by max_strikes
   /// Frontier-watchdog force-quarantines (session 0) — the liveness
-  /// defense against ACK-pinning coalitions (FrontierWatchdogParams).
+  /// defense against ACK-pinning coalitions (RlaParams::frontier_watchdog).
   std::uint64_t rla_watchdog_quarantines = 0;
 
   // --- workload + fairness telemetry ---------------------------------------

@@ -2,6 +2,13 @@
 
 namespace rlacast::workload {
 
+namespace {
+
+constexpr sim::SimTime kMeanOn = 1.0;   // exponential mean ON duration, s
+constexpr sim::SimTime kMeanOff = 1.0;  // exponential mean OFF duration, s
+
+}  // namespace
+
 PacketSink::PacketSink(net::Network& network, net::NodeId node,
                        net::PortId port) {
   network.attach(node, port, this);
@@ -38,14 +45,14 @@ void OnOffSource::start_at(sim::SimTime when) {
 
 void OnOffSource::begin_on() {
   on_ = true;
-  gate_timer_.schedule(rng_.exponential(config_.mean_on));
+  gate_timer_.schedule(rng_.exponential(kMeanOn));
   emit();
 }
 
 void OnOffSource::begin_off() {
   on_ = false;
   send_timer_.cancel();
-  gate_timer_.schedule(rng_.exponential(config_.mean_off));
+  gate_timer_.schedule(rng_.exponential(kMeanOff));
 }
 
 void OnOffSource::emit() {
@@ -57,14 +64,11 @@ void OnOffSource::emit() {
   p.dst = dst_node_;
   p.src_port = port_;
   p.dst_port = dst_port_;
-  p.size_bytes = config_.packet_bytes;
+  p.size_bytes = net::kDataPacketBytes;
   p.seq = next_seq_++;
   network_.inject(p);
   ++sent_;
-  const double mean_gap = 1.0 / config_.rate_pps;
-  // CBR: even spacing. VBR: exponential gaps with the same mean (Poisson
-  // while ON) — one extra draw per packet, cleanly journaled.
-  send_timer_.schedule(config_.vbr ? rng_.exponential(mean_gap) : mean_gap);
+  send_timer_.schedule(1.0 / config_.rate_pps);
 }
 
 }  // namespace rlacast::workload

@@ -1,14 +1,12 @@
-// OnOffSource: unreliable CBR/VBR datagram cross-traffic, gated by
-// exponential on/off periods (the classic interrupted-Poisson shape).
+// OnOffSource: unreliable CBR datagram cross-traffic, gated by exponential
+// on/off periods of mean 1 s each (the classic interrupted-Poisson shape).
 //
-// During an ON period the source emits fixed-size data packets at
-// `rate_pps` — evenly spaced for CBR, or with exponential inter-packet
-// gaps of the same mean for VBR (a Poisson packet process, the bursty
-// variant).  OFF periods are silent.  There is no congestion control and
+// During an ON period the source emits evenly spaced fixed-size data
+// packets at `rate_pps`.  OFF periods are silent.  There is no congestion control and
 // no retransmission: this is the inelastic traffic the paper's TCP and RLA
 // flows must survive next to, not compete with politely.
 //
-// All randomness (period lengths, VBR gaps) comes from the source's named
+// All randomness (period lengths) comes from the source's named
 // Rng stream, so the emission schedule is bit-identical across --jobs and
 // journals cleanly through src/replay/.  PacketSink counts arrivals so
 // benches can report the cross-traffic's delivered rate.
@@ -26,11 +24,7 @@
 namespace rlacast::workload {
 
 struct OnOffConfig {
-  double rate_pps = 50.0;        // emission rate while ON
-  sim::SimTime mean_on = 1.0;    // exponential mean ON duration, s
-  sim::SimTime mean_off = 1.0;   // exponential mean OFF duration, s
-  bool vbr = false;              // false: CBR spacing; true: exponential gaps
-  std::int32_t packet_bytes = net::kDataPacketBytes;
+  double rate_pps = 50.0;  // emission rate while ON
 };
 
 /// Terminal counter for datagram traffic (no ACKs, no feedback).

@@ -8,7 +8,12 @@ namespace rlacast::workload {
 
 namespace {
 
-constexpr double kTwoPi = 6.283185307179586;
+/// Pareto(shape, scale) transfer size: P[X > x] = (scale/x)^shape for
+/// x >= scale.  Shape in (1, 2) gives the heavy tail with finite mean the
+/// web-traffic literature measures; scale is the minimum transfer in
+/// packets.
+constexpr double kParetoShape = 1.3;
+constexpr double kParetoScale = 6.0;
 
 std::uint64_t fnv1a_mix(std::uint64_t h, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
@@ -53,25 +58,9 @@ void WebFlowSource::think() {
 }
 
 std::int64_t WebFlowSource::draw_size() {
-  double size = 0.0;
-  switch (config_.size_dist) {
-    case WebConfig::SizeDist::kPareto: {
-      // Inverse transform: X = scale * U^(-1/shape). One draw per flow.
-      const double u = std::max(rng_.uniform(), 1e-12);
-      size = config_.pareto_scale * std::pow(u, -1.0 / config_.pareto_shape);
-      break;
-    }
-    case WebConfig::SizeDist::kLognormal: {
-      // Box-Muller: exactly two draws per flow, always consumed (draw-count
-      // stability is part of the determinism contract).
-      const double u1 = std::max(rng_.uniform(), 1e-12);
-      const double u2 = rng_.uniform();
-      const double z =
-          std::sqrt(-2.0 * std::log(u1)) * std::cos(kTwoPi * u2);
-      size = std::exp(config_.lognormal_mu + config_.lognormal_sigma * z);
-      break;
-    }
-  }
+  // Inverse transform: X = scale * U^(-1/shape). One draw per flow.
+  const double u = std::max(rng_.uniform(), 1e-12);
+  const double size = kParetoScale * std::pow(u, -1.0 / kParetoShape);
   const auto pkts = static_cast<std::int64_t>(std::ceil(size));
   return std::clamp<std::int64_t>(pkts, 1, config_.max_flow_packets);
 }
@@ -88,8 +77,7 @@ void WebFlowSource::start_fetch() {
   const auto flow = static_cast<net::FlowId>(flow_base_ + k);
 
   receivers_.push_back(std::make_unique<tcp::TcpReceiver>(
-      network_, dst_node_, dst_port, config_.tcp.ack_bytes,
-      config_.tcp.max_send_overhead));
+      network_, dst_node_, dst_port, config_.tcp.max_send_overhead));
   tcp::TcpParams params = config_.tcp;
   params.flow_packets = size;
   auto sender = std::make_unique<tcp::TcpSender>(

@@ -1,12 +1,11 @@
 // WebFlowSource: one simulated web "user" — think, fetch, think, fetch.
 //
 // The generator alternates exponential think times with finite TCP
-// transfers (tcp::TcpSender with flow_packets > 0) whose sizes come from a
-// heavy-tailed distribution: Pareto (the classic self-similar-web result)
-// or lognormal, both synthesized from the source's own named Rng stream by
-// inverse transform / Box–Muller so the draw count per flow is fixed
-// (1 size draw + 1 think draw for Pareto, 2 + 1 for lognormal) and the
-// schedule is bit-identical across --jobs and replayable.
+// transfers (tcp::TcpSender with flow_packets > 0) whose sizes are Pareto
+// (the classic self-similar-web result), synthesized from the source's own
+// named Rng stream by inverse transform so the draw count per flow is fixed
+// (1 size draw + 1 think draw) and the schedule is bit-identical across
+// --jobs and replayable.
 //
 // Each fetch gets a FRESH (sender, receiver) pair on fresh ports: the
 // Network has no detach, and TCP state (scoreboard, reassembly) is
@@ -33,16 +32,6 @@
 namespace rlacast::workload {
 
 struct WebConfig {
-  enum class SizeDist { kPareto, kLognormal };
-  SizeDist size_dist = SizeDist::kPareto;
-  /// Pareto(shape, scale): P[X > x] = (scale/x)^shape for x >= scale.
-  /// shape in (1, 2) gives the heavy tail with finite mean the web-traffic
-  /// literature measures; scale is the minimum transfer in packets.
-  double pareto_shape = 1.3;
-  double pareto_scale = 6.0;
-  /// Lognormal(mu, sigma) of the size in packets (exp(mu) ~ median).
-  double lognormal_mu = 2.5;
-  double lognormal_sigma = 1.0;
   /// Mean of the exponential think time between transfers, seconds.
   sim::SimTime mean_think = 2.0;
   /// Hard tail clamp so one astronomical Pareto draw cannot turn a web run

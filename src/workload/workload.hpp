@@ -3,30 +3,25 @@
 // The paper's experiments run infinite FTP sources: every TCP always has
 // data, so the fairness bands are measured under the easiest possible
 // workload.  This layer adds the traffic mixes real networks carry —
-// heavy-tailed web flows and on/off constant/variable-bit-rate streams —
+// heavy-tailed web flows and on/off constant-bit-rate streams —
 // so the benches can ask whether RLA's bounded-fairness result survives
 // senders that start, stop, and think.
 //
-// Three pieces:
+// Two pieces:
 //   * WebFlowSource (web_source.hpp) — a "user" that alternates
 //     exponential think times with finite TCP transfers whose sizes are
-//     Pareto or lognormal (the heavy-tailed web-size literature);
-//   * OnOffSource (onoff_source.hpp) — unreliable CBR/VBR datagram
-//     cross-traffic gated by exponential on/off periods;
-//   * StartScheduleConfig (here) — how competing senders' start times are
-//     laid out: the historical uniform(0,1) jitter, an even stagger, or a
-//     wide randomized window.
+//     Pareto (the heavy-tailed web-size literature);
+//   * OnOffSource (onoff_source.hpp) — unreliable CBR datagram
+//     cross-traffic gated by exponential on/off periods.
 //
 // Determinism contract (the subsystem's reason to exist as a layer): every
 // random decision draws from a named per-source sim::Rng stream
-// ("workload-web-<i>", "workload-onoff-<i>", "start-jitter"), so a run is
+// ("workload-web-<i>", "workload-onoff-<i>"), so a run is
 // bit-identical across --jobs settings and replayable through src/replay/.
 // TrafficKind::kFtp is the do-nothing default: no streams, no timers, no
 // objects — the four historical figure benches stay byte-identical.
 #pragma once
 
-#include "sim/random.hpp"
-#include "sim/time.hpp"
 #include "workload/onoff_source.hpp"
 #include "workload/web_source.hpp"
 
@@ -39,30 +34,11 @@ enum class TrafficKind {
   kOnOff   // infinite FTP + OnOffSource datagram cross-traffic per leaf
 };
 
-/// Start-time layout for the competing senders of one run.
-struct StartScheduleConfig {
-  enum class Kind {
-    kJitter,      // historical: uniform(0, 1) per sender (byte-identical)
-    kStaggered,   // i * spacing, plus uniform(0, window) jitter
-    kRandomized   // uniform(0, window): wide decorrelated starts
-  };
-  Kind kind = Kind::kJitter;
-  sim::SimTime spacing = 0.25;  // kStaggered: gap between consecutive flows
-  sim::SimTime window = 1.0;    // jitter width (kStaggered/kRandomized)
-};
-
-/// Start time for the `index`-th sender. Draws exactly one uniform from
-/// `rng` for every kind (same draw count => swapping schedules does not
-/// shift later streams derived from the same Rng).
-sim::SimTime start_time(const StartScheduleConfig& cfg, int index,
-                        sim::Rng& rng);
-
 /// The complete workload description a topo builder consumes.
 struct TrafficSpec {
   TrafficKind kind = TrafficKind::kFtp;
   WebConfig web{};
   OnOffConfig onoff{};
-  StartScheduleConfig schedule{};
 };
 
 }  // namespace rlacast::workload

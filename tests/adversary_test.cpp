@@ -435,13 +435,13 @@ TEST(Chaos, DrawsStayInsideConfiguredBounds) {
       }
     }
     EXPECT_GE(d.ack_fault.loss_p, 0.0);
-    EXPECT_LE(d.ack_fault.loss_p, cfg.max_ack_loss_p);
-    EXPECT_LE(d.ack_fault.duplicate_p, cfg.max_ack_dup_p);
-    EXPECT_LE(d.ack_fault.max_jitter, cfg.max_ack_jitter);
-    EXPECT_LE(d.leaf_fault.loss_p, cfg.max_leaf_loss_p);
-    EXPECT_GE(d.flip_period, cfg.min_flip_period);
-    EXPECT_LE(d.flip_period, cfg.max_flip_period);
-    EXPECT_DOUBLE_EQ(d.adversary_start, cfg.adversary_start);
+    EXPECT_LE(d.ack_fault.loss_p, fault::kChaosMaxAckLossP);
+    EXPECT_LE(d.ack_fault.duplicate_p, fault::kChaosMaxAckDupP);
+    EXPECT_LE(d.ack_fault.max_jitter, fault::kChaosMaxAckJitter);
+    EXPECT_LE(d.leaf_fault.loss_p, fault::kChaosMaxLeafLossP);
+    EXPECT_GE(d.flip_period, fault::kChaosMinFlipPeriod);
+    EXPECT_LE(d.flip_period, fault::kChaosMaxFlipPeriod);
+    EXPECT_DOUBLE_EQ(d.adversary_start, fault::kChaosAdversaryStart);
   }
 }
 

@@ -331,10 +331,8 @@ TEST(CensusScale, SlimCensusMemoryIsSublinear) {
 
 // --- rla::ReceiverTable tracked slots -------------------------------------
 
-cc::RttEstimatorParams rtt_params() { return cc::RttEstimatorParams{}; }
-
 TEST(SlimTable, UntrackedMembersShareTheFallbackEstimator) {
-  rla::ReceiverTable t(rtt_params());
+  rla::ReceiverTable t;
   for (int i = 0; i < 3; ++i) t.add(1, 10, 0, 0.0);
   EXPECT_FALSE(t.tracked(0));
   EXPECT_FALSE(t.tracked(1));
@@ -345,7 +343,7 @@ TEST(SlimTable, UntrackedMembersShareTheFallbackEstimator) {
 }
 
 TEST(SlimTable, TrackedMemberGetsItsOwnEstimatorSeededFromFallback) {
-  rla::ReceiverTable t(rtt_params());
+  rla::ReceiverTable t;
   for (int i = 0; i < 3; ++i) t.add(1, 10, 0, 0.0);
   t.rtt_add_sample(0, 0.5);  // population estimate: 0.5
   t.ensure_tracked(2);
@@ -358,7 +356,7 @@ TEST(SlimTable, TrackedMemberGetsItsOwnEstimatorSeededFromFallback) {
 }
 
 TEST(SlimTable, GrouperAccessAndMaterializeAllocateTrackedSlots) {
-  rla::ReceiverTable t(rtt_params());
+  rla::ReceiverTable t;
   for (int i = 0; i < 4; ++i) t.add(1, 10, 0, 0.0);
   (void)t.grouper(1);
   EXPECT_TRUE(t.tracked(1));
@@ -373,13 +371,13 @@ TEST(SlimTable, AllTrackedMatchesPerMemberEstimators) {
   // must match a test-owned cc::RttEstimator per member, through samples,
   // backoff resets, timeout collapses, leaves, rejoins and late joins.
   cc::TroubledCensus census(20.0, 0.25);
-  rla::ReceiverTable table(rtt_params());
+  rla::ReceiverTable table;
   std::vector<cc::RttEstimator> ref;
   const auto join = [&] {
     const int i = census.add_receiver();
     table.add(1, 10, 0, 0.0);
     table.ensure_tracked(i);
-    ref.emplace_back(rtt_params());
+    ref.emplace_back();
   };
   for (int i = 0; i < 16; ++i) join();
   std::uint64_t x = 123;
@@ -434,7 +432,7 @@ TEST(SlimTable, LateJoinerStartsFreshAfterCollapses) {
   // active member the shared fallback must not back off with them, or a
   // member tracked at a later join would start at initial_rto * 4.
   cc::TroubledCensus census(20.0, 0.25);
-  rla::ReceiverTable t(rtt_params());
+  rla::ReceiverTable t;
   for (int i = 0; i < 2; ++i) {
     census.add_receiver();
     t.add(1, 10, 0, 0.0);
@@ -442,16 +440,16 @@ TEST(SlimTable, LateJoinerStartsFreshAfterCollapses) {
   }
   t.rtt_back_off_all(census);
   t.rtt_back_off_all(census);
-  EXPECT_DOUBLE_EQ(t.rtt(0).rto(), 4.0 * rtt_params().initial_rto);
+  EXPECT_DOUBLE_EQ(t.rtt(0).rto(), 4.0 * cc::RttEstimator::kInitialRto);
   census.add_receiver();
   t.add(1, 10, 0, 1.0);
   t.ensure_tracked(2);
-  EXPECT_DOUBLE_EQ(t.rtt(2).rto(), rtt_params().initial_rto);
+  EXPECT_DOUBLE_EQ(t.rtt(2).rto(), cc::RttEstimator::kInitialRto);
 }
 
 TEST(SlimTable, MaxRtoCountsFallbackOnlyWhileUntrackedMembersExist) {
   cc::TroubledCensus census(20.0, 0.25);
-  rla::ReceiverTable t(rtt_params());
+  rla::ReceiverTable t;
   for (int i = 0; i < 3; ++i) {
     census.add_receiver();
     t.add(1, 10, 0, 0.0);
@@ -474,8 +472,8 @@ TEST(SlimTable, MaxRtoCountsFallbackOnlyWhileUntrackedMembersExist) {
 
 TEST(SlimTable, StateBytesAreSublinearInMembership) {
   const int n = 10000;
-  rla::ReceiverTable all(rtt_params());
-  rla::ReceiverTable few(rtt_params());
+  rla::ReceiverTable all;
+  rla::ReceiverTable few;
   for (int i = 0; i < n; ++i) {
     all.add(1, 10, 0, 0.0);
     all.ensure_tracked(i);
@@ -483,7 +481,11 @@ TEST(SlimTable, StateBytesAreSublinearInMembership) {
   }
   for (int i = 0; i < 32; ++i) few.ensure_tracked(i);
   EXPECT_EQ(few.tracked_count(), 32u);
-  EXPECT_LT(few.state_bytes() * 3, all.state_bytes())
+  // Only tracked members pay for an estimator and a signal grouper.
+  EXPECT_GE(all.state_bytes() - few.state_bytes(),
+            static_cast<std::size_t>(n - 32) *
+                (sizeof(cc::RttEstimator) + sizeof(cc::SignalGrouper)));
+  EXPECT_LT(few.state_bytes() * 2, all.state_bytes())
       << "few=" << few.state_bytes() << " all=" << all.state_bytes();
 }
 

@@ -29,7 +29,7 @@ topo::TreeConfig stormed_tree(bool watchdog_on) {
   storm.hole_hold_acks = 1 << 30;  // the hole never releases: a pure pin
   storm.storm_copies = 1;
   for (int i = 0; i < 9; ++i) cfg.adversaries.emplace_back(i * 3, storm);
-  cfg.rla.frontier_watchdog.enabled = watchdog_on;
+  cfg.rla.frontier_watchdog = watchdog_on;
   return cfg;
 }
 

@@ -1,5 +1,5 @@
-// Drop-tail queue unit tests: FIFO order, capacity enforcement, statistics,
-// and the drop hook used for per-flow loss attribution.
+// Drop-tail queue unit tests: FIFO order, capacity enforcement and
+// statistics.
 #include <gtest/gtest.h>
 
 #include "net/drop_tail.hpp"
@@ -51,20 +51,6 @@ TEST(DropTail, DropRateAccounting) {
   q.enqueue(pkt(2), 0.0);  // dropped
   q.enqueue(pkt(3), 0.0);  // dropped
   EXPECT_DOUBLE_EQ(q.stats().drop_rate(), 0.5);
-}
-
-TEST(DropTail, DropHookSeesDroppedPacket) {
-  DropTailQueue q(1);
-  SeqNum dropped_seq = -1;
-  double drop_time = -1.0;
-  q.set_drop_hook([&](const Packet& p, sim::SimTime t) {
-    dropped_seq = p.seq;
-    drop_time = t;
-  });
-  q.enqueue(pkt(7), 1.0);
-  q.enqueue(pkt(8), 2.0);
-  EXPECT_EQ(dropped_seq, 8);
-  EXPECT_DOUBLE_EQ(drop_time, 2.0);
 }
 
 TEST(DropTail, ZeroCapacityDropsEverything) {

@@ -59,7 +59,7 @@ TEST(Partition, ExcisionThenReadmission) {
   // re-admit the subtree through the ramp after the heal.
   TreeConfig cfg = base_cfg();
   cfg.partitions.push_back({/*level=*/3, /*index=*/1, 20.0, 30.0, false});
-  cfg.rla.degrade.enabled = true;
+  cfg.rla.degrade = true;
   const auto res = run_tertiary_tree(cfg);
   EXPECT_TRUE(res.watchdog_ok) << res.watchdog_report;
   EXPECT_EQ(res.failover_events, 0u);  // no manager without backup_paths
@@ -68,7 +68,7 @@ TEST(Partition, ExcisionThenReadmission) {
   ASSERT_FALSE(res.subtree_events.empty());
   const rla::SubtreeEvent& ev = res.subtree_events.front();
   EXPECT_EQ(ev.members_excised, 3);
-  EXPECT_GE(ev.time_to_excise, cfg.rla.degrade.silence_after);
+  EXPECT_GE(ev.time_to_excise, rla::kSubtreeSilenceAfter);
   EXPECT_GE(ev.healed_at, 30.0);  // cannot heal before the partition ends
   EXPECT_GE(ev.readmitted_at, ev.healed_at);
   EXPECT_EQ(ev.members_readmitted, 3);
@@ -85,7 +85,7 @@ TEST(Partition, RouterCrashBypassesFailoverAndExcises) {
   cfg.partitions.push_back({/*level=*/3, /*index=*/1, 20.0, 30.0,
                             /*router_crash=*/true});
   cfg.backup_paths = true;
-  cfg.rla.degrade.enabled = true;
+  cfg.rla.degrade = true;
   const auto res = run_tertiary_tree(cfg);
   EXPECT_TRUE(res.watchdog_ok) << res.watchdog_report;
   EXPECT_EQ(res.failover_events, 0u);
@@ -100,7 +100,7 @@ TEST(Partition, SurvivorsKeepGoodputDuringExcision) {
   // grinding through RTO storms against dead members.
   TreeConfig cfg = base_cfg();
   cfg.partitions.push_back({/*level=*/3, /*index=*/1, 20.0, 40.0, false});
-  cfg.rla.degrade.enabled = true;
+  cfg.rla.degrade = true;
   const auto res = run_tertiary_tree(cfg);
   ASSERT_FALSE(res.subtree_events.empty());
   // Survivor goodput within the episode is a substantial fraction of the
@@ -118,8 +118,8 @@ TEST(Partition, ChurnRejoinDuringPartitionStaysConsistent) {
   TreeConfig cfg = base_cfg();
   cfg.duration = 100.0;
   cfg.partitions.push_back({/*level=*/3, /*index=*/1, 20.0, 35.0, false});
-  cfg.rla.degrade.enabled = true;
-  cfg.rla.frontier_watchdog.enabled = true;
+  cfg.rla.degrade = true;
+  cfg.rla.frontier_watchdog = true;
   cfg.churn_mean_interval = 1.0;  // ~100 leave events over the run
   cfg.churn_rejoin_after = 3.0;
   const auto res = run_tertiary_tree(cfg);

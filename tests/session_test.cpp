@@ -1,5 +1,4 @@
-// Tests for the RlaSession convenience wrapper and the TcpReceiver
-// delayed-ACK option.
+// Tests for the RlaSession convenience wrapper.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -8,8 +7,6 @@
 #include "net/network.hpp"
 #include "rla/rla_session.hpp"
 #include "sim/simulator.hpp"
-#include "tcp/tcp_receiver.hpp"
-#include "tcp/tcp_sender.hpp"
 
 namespace rlacast {
 namespace {
@@ -132,66 +129,6 @@ TEST(RlaSession, LeaverStopsGatingTheWindow) {
   const double free_rate =
       static_cast<double>(session.sender().max_reach_all() - before) / 10.0;
   EXPECT_GT(free_rate, 3.0 * paced_rate);  // unshackled
-}
-
-TEST(DelayedAck, HalvesAckTrafficOnCleanPath) {
-  // Two identical TCP transfers, one with delayed ACKs: roughly half the
-  // ACK packets for the same data progress; throughput unharmed.
-  auto run = [](bool delack) {
-    sim::Simulator sim(3);
-    net::Network net(sim);
-    const auto s = net.add_node(), r = net.add_node();
-    net::LinkConfig link;
-    link.bandwidth_bps = 400 * 8000.0;
-    link.delay = 0.02;
-    net.connect(s, r, link);
-    net.build_routes();
-    tcp::TcpReceiver rcv(net, r, 1);
-    rcv.set_delayed_ack(delack);
-    tcp::TcpParams p;
-    p.max_cwnd = 64;
-    tcp::TcpSender snd(net, s, 1, r, 1, 1, p);
-    snd.start_at(0.0);
-    sim.run_until(30.0);
-    const auto* reverse = net.link_between(r, s);
-    return std::pair<double, std::uint64_t>(
-        static_cast<double>(snd.una()) / 30.0,
-        reverse->packets_delivered());
-  };
-  const auto [thr_plain, acks_plain] = run(false);
-  const auto [thr_delack, acks_delack] = run(true);
-  EXPECT_GT(thr_delack, 0.85 * thr_plain);  // progress preserved
-  EXPECT_LT(static_cast<double>(acks_delack),
-            0.65 * static_cast<double>(acks_plain));  // ~half the ACKs
-}
-
-TEST(DelayedAck, LossStillDetectedPromptly) {
-  // Delayed ACKs must not defeat fast retransmit: out-of-order arrivals
-  // are ACKed immediately.
-  sim::Simulator sim(5);
-  net::Network net(sim);
-  const auto s = net.add_node(), g = net.add_node(), r = net.add_node();
-  net::LinkConfig bttl;
-  bttl.bandwidth_bps = 150 * 8000.0;
-  bttl.delay = 0.02;
-  bttl.buffer_pkts = 10;  // small buffer: genuine losses
-  net.connect(s, g, bttl);
-  net::LinkConfig fast;
-  fast.bandwidth_bps = 1e9;
-  fast.delay = 0.02;
-  net.connect(g, r, fast);
-  net.build_routes();
-  tcp::TcpReceiver rcv(net, r, 1);
-  rcv.set_delayed_ack(true);
-  tcp::TcpSender snd(net, s, 1, r, 1, 1, tcp::TcpParams{});
-  snd.start_at(0.0);
-  sim.at(10.0, [&] { snd.measurement().begin_measurement(sim.now()); });
-  sim.run_until(60.0);
-  ASSERT_GT(snd.measurement().window_cuts(), 3u);
-  // Most loss episodes recovered via SACK, not timeout.
-  EXPECT_LT(snd.measurement().timeouts(),
-            snd.measurement().window_cuts() / 2 + 2);
-  EXPECT_GT(snd.measurement().throughput_pps(60.0), 100.0);
 }
 
 }  // namespace

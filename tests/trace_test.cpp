@@ -1,90 +1,22 @@
-// Tests for the tracing subsystem: packet trace records and ring buffer,
-// queue monitor sampling, and §3.1 buffer-period segmentation.
+// Tests for the tracing subsystem: queue monitor sampling and §3.1
+// buffer-period segmentation.
 #include <gtest/gtest.h>
-
-#include <sstream>
 
 #include "net/drop_tail.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
 #include "trace/buffer_periods.hpp"
-#include "trace/flow_drops.hpp"
-#include "trace/packet_trace.hpp"
 #include "trace/queue_monitor.hpp"
 
 namespace rlacast::trace {
 namespace {
 
-net::Packet pkt(net::SeqNum seq, net::FlowId flow = 1) {
+net::Packet pkt(net::SeqNum seq) {
   net::Packet p;
   p.seq = seq;
-  p.flow = flow;
+  p.flow = 1;
   p.uid = static_cast<std::uint64_t>(seq) + 1;
   return p;
-}
-
-TEST(PacketTrace, RecordsEvents) {
-  PacketTrace t;
-  t.log(Op::kEnqueue, 1.0, 0, 1, pkt(5));
-  t.log(Op::kDrop, 2.0, 0, 1, pkt(6));
-  EXPECT_EQ(t.size(), 2u);
-  EXPECT_EQ(t.drops(), 1u);
-  EXPECT_EQ(t.records()[0].op, Op::kEnqueue);
-  EXPECT_EQ(t.records()[1].seq, 6);
-}
-
-TEST(PacketTrace, FiltersByFlow) {
-  PacketTrace t;
-  t.log(Op::kDrop, 1.0, 0, 1, pkt(1, 7));
-  t.log(Op::kDrop, 1.0, 0, 1, pkt(2, 8));
-  t.log(Op::kDrop, 1.0, 0, 1, pkt(3, 7));
-  EXPECT_EQ(t.drops_for_flow(7), 2u);
-  EXPECT_EQ(t.drops_for_flow(8), 1u);
-  EXPECT_EQ(t.drops_for_flow(9), 0u);
-}
-
-TEST(PacketTrace, BoundedRingEvictsOldest) {
-  PacketTrace t(3);
-  for (net::SeqNum s = 0; s < 10; ++s) t.log(Op::kEnqueue, 0.1 * s, 0, 1, pkt(s));
-  EXPECT_EQ(t.size(), 3u);
-  EXPECT_EQ(t.total_logged(), 10u);
-}
-
-TEST(PacketTrace, RenderContainsKeyFields) {
-  PacketTrace t;
-  t.log(Op::kDrop, 1.5, 3, 4, pkt(42, 9));
-  const std::string line = t.records()[0].render();
-  EXPECT_NE(line.find('d'), std::string::npos);
-  EXPECT_NE(line.find("42"), std::string::npos);
-  std::ostringstream os;
-  t.write(os);
-  EXPECT_EQ(os.str(), line + "\n");
-}
-
-TEST(PacketTrace, HooksIntoQueueDrops) {
-  PacketTrace t;
-  net::DropTailQueue q(1);
-  q.set_drop_hook([&](const net::Packet& p, sim::SimTime at) {
-    t.log(Op::kDrop, at, 0, 1, p);
-  });
-  q.enqueue(pkt(0), 0.0);
-  q.enqueue(pkt(1), 1.0);  // dropped
-  EXPECT_EQ(t.drops(), 1u);
-  EXPECT_DOUBLE_EQ(t.records()[0].at, 1.0);
-}
-
-TEST(FlowDropCounter, AttributesDropsPerFlow) {
-  net::DropTailQueue q(1);
-  FlowDropCounter counter(q);
-  q.enqueue(pkt(0, 7), 0.0);   // accepted (in queue)
-  q.enqueue(pkt(1, 7), 0.0);   // dropped
-  q.enqueue(pkt(2, 8), 0.0);   // dropped
-  q.enqueue(pkt(3, 8), 0.0);   // dropped
-  EXPECT_EQ(counter.drops(7), 1u);
-  EXPECT_EQ(counter.drops(8), 2u);
-  EXPECT_EQ(counter.drops(9), 0u);
-  EXPECT_EQ(counter.total(), 3u);
-  EXPECT_EQ(counter.by_flow().size(), 2u);
 }
 
 TEST(QueueMonitor, SamplesAtConfiguredPeriod) {

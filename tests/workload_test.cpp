@@ -1,9 +1,6 @@
 // Tests for the src/workload/ traffic-generation subsystem and the
 // stats::FairnessMonitor telemetry it feeds:
 //
-//   * start-time schedules: the three StartScheduleConfig kinds, including
-//     the one-uniform-draw-per-sender contract every kind must honour
-//     (draw-count stability is what keeps schedules replayable);
 //   * Jain-index math and the application-limited window exclusion;
 //   * WebFlowSource determinism: same seed => bit-identical flow schedule
 //     (size + start-time fingerprint), plus the heavy-tail size clamp;
@@ -35,66 +32,6 @@
 
 namespace rlacast {
 namespace {
-
-// --- start schedules -------------------------------------------------------
-
-TEST(StartSchedule, JitterIsUniformZeroOne) {
-  workload::StartScheduleConfig cfg;
-  cfg.kind = workload::StartScheduleConfig::Kind::kJitter;
-  sim::Rng rng(42);
-  for (int i = 0; i < 100; ++i) {
-    const sim::SimTime t = workload::start_time(cfg, i, rng);
-    EXPECT_GE(t, 0.0);
-    EXPECT_LT(t, 1.0);
-  }
-}
-
-TEST(StartSchedule, StaggeredOffsetsByIndex) {
-  workload::StartScheduleConfig cfg;
-  cfg.kind = workload::StartScheduleConfig::Kind::kStaggered;
-  cfg.spacing = 0.5;
-  cfg.window = 0.25;
-  sim::Rng rng(42);
-  for (int i = 0; i < 20; ++i) {
-    const sim::SimTime t = workload::start_time(cfg, i, rng);
-    EXPECT_GE(t, 0.5 * i);
-    EXPECT_LT(t, 0.5 * i + 0.25);
-  }
-}
-
-TEST(StartSchedule, RandomizedSpansWindow) {
-  workload::StartScheduleConfig cfg;
-  cfg.kind = workload::StartScheduleConfig::Kind::kRandomized;
-  cfg.window = 30.0;
-  sim::Rng rng(42);
-  sim::SimTime lo = 1e18, hi = -1.0;
-  for (int i = 0; i < 200; ++i) {
-    const sim::SimTime t = workload::start_time(cfg, i, rng);
-    EXPECT_GE(t, 0.0);
-    EXPECT_LT(t, 30.0);
-    lo = std::min(lo, t);
-    hi = std::max(hi, t);
-  }
-  EXPECT_LT(lo, 5.0);   // 200 draws cover the window
-  EXPECT_GT(hi, 25.0);
-}
-
-TEST(StartSchedule, EveryKindConsumesExactlyOneDraw) {
-  // The replay contract: each sender's start costs one uniform, no matter
-  // the schedule kind, so switching kinds never shifts later streams.
-  using Kind = workload::StartScheduleConfig::Kind;
-  for (Kind kind : {Kind::kJitter, Kind::kStaggered, Kind::kRandomized}) {
-    workload::StartScheduleConfig cfg;
-    cfg.kind = kind;
-    sim::Rng a(7);
-    sim::Rng b(7);
-    (void)workload::start_time(cfg, 3, a);
-    (void)b.uniform();
-    for (int i = 0; i < 8; ++i)
-      EXPECT_DOUBLE_EQ(a.uniform(), b.uniform())
-          << "kind " << static_cast<int>(kind) << " draw " << i;
-  }
-}
 
 // --- Jain index ------------------------------------------------------------
 
