@@ -163,11 +163,11 @@ int main(int argc, char** argv) {
       cfg.ack_fault = draw.ack_fault;
       cfg.adversaries = draw.adversaries();
       cfg.rla.defense.enabled = true;
-      // The frontier watchdog stays off here (as in bench_adversary's soak):
-      // after re-admission a rejoiner legitimately pins the frontier while it
-      // closes its residual gap, which is indistinguishable from a pinning
-      // attack to the watchdog — enabling it quarantines honest rejoiners
-      // mid-catch-up.  Reconciling the two is tracked in ROADMAP.md.
+      // The frontier watchdog stays off here (as in bench_adversary's soak).
+      // Its pinner test blames every receiver that lacks the frontier packet
+      // when at least one has it, so it quarantines honest rejoiners still
+      // behind the frontier just after graduation, and survivors during a
+      // re-admission ramp.  What it needs first is in ROADMAP.md, item 4.
       cfg.rla.silent_drop_after = 10.0;
       if (draw.structural != fault::StructuralKind::kNone) {
         topo::SubtreeOutage so;

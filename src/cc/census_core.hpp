@@ -40,12 +40,13 @@ struct CensusSampleParams {
   std::size_t reservoir = std::numeric_limits<std::size_t>::max();
 };
 
-/// Membership state of one receiver in the hardened census.
+/// Lifecycle state of one receiver (see cc::TroubledCensus).
 enum class MemberState : std::uint8_t {
   kActive,       // full participant
-  kProbation,    // rejoined, watched under the stricter rate factor
+  kProbation,    // served a quarantine, watched under the stricter rate factor
   kQuarantined,  // timed exclusion (counts as excluded())
-  kExcluded,     // permanent (leave, silent-drop, slow-drop, strike-out)
+  kExcluded,     // final (leave, silent-drop, slow-drop, strike-out)
+  kExcised,      // out with its subtree until readmit() (counts as excluded())
 };
 
 /// The member table. cc::TroubledCensus is the only driver; all access to
@@ -66,7 +67,7 @@ class CensusCore {
 
   bool excluded(int i) const {
     const MemberState s = state[static_cast<std::size_t>(i)];
-    return s == MemberState::kQuarantined || s == MemberState::kExcluded;
+    return s != MemberState::kActive && s != MemberState::kProbation;
   }
 
   /// Gives member `i` a wide-stat slot unless it has one; returns the slot.

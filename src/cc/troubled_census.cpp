@@ -72,21 +72,24 @@ void TroubledCensus::on_signal(int i, sim::SimTime now) {
   if (defense_.enabled) rate_check(i, now);
 }
 
-void TroubledCensus::exclude(int i) {
-  if (core_.state[static_cast<std::size_t>(i)] == MemberState::kExcluded)
-    return;
-  clear_troubled(i);
-  const bool was_active = !core_.excluded(i);
-  core_.state[static_cast<std::size_t>(i)] = MemberState::kExcluded;
-  if (was_active) membership_changed(i, /*now_active=*/false);
+void TroubledCensus::move(int i, MemberState to) {
+  const bool was_out = core_.excluded(i);
+  core_.state[static_cast<std::size_t>(i)] = to;
+  const bool out = core_.excluded(i);
+  if (out) clear_troubled(i);
+  if (out != was_out) membership_changed(i, /*now_active=*/was_out);
+}
+
+void TroubledCensus::exclude(int i) { move(i, MemberState::kExcluded); }
+
+void TroubledCensus::excise(int i) {
+  if (!core_.excluded(i)) move(i, MemberState::kExcised);
 }
 
 void TroubledCensus::readmit(int i) {
-  const auto u = static_cast<std::size_t>(i);
-  if (core_.state[u] != MemberState::kExcluded) return;
-  core_.state[u] = MemberState::kActive;
+  if (state(i) != MemberState::kExcised) return;
   core_.reset_epoch(i);
-  membership_changed(i, /*now_active=*/true);
+  move(i, MemberState::kActive);
 }
 
 void TroubledCensus::rate_check(int i, sim::SimTime now) {
@@ -119,23 +122,19 @@ void TroubledCensus::rate_check(int i, sim::SimTime now) {
 }
 
 void TroubledCensus::quarantine(int i, sim::SimTime now) {
-  const auto u = static_cast<std::size_t>(i);
-  clear_troubled(i);
   const int strikes = core_.add_strike(i);
   ++quarantines_;
   if (defense_.max_strikes > 0 && strikes >= defense_.max_strikes) {
-    core_.state[u] = MemberState::kExcluded;
     ++strikeouts_;
-    membership_changed(i, /*now_active=*/false);
+    move(i, MemberState::kExcluded);
     return;
   }
-  core_.state[u] = MemberState::kQuarantined;
   // Escalating dwell: strike k serves quarantine_seconds * 2^(k-1).
   const double dwell =
       defense_.quarantine_seconds * std::ldexp(1.0, strikes - 1);
   core_.set_state_until(i, now + dwell);
   next_state_check_ = std::min(next_state_check_, now + dwell);
-  membership_changed(i, /*now_active=*/false);
+  move(i, MemberState::kQuarantined);
 }
 
 void TroubledCensus::force_quarantine(int i, sim::SimTime now) {
@@ -155,16 +154,15 @@ std::vector<int> TroubledCensus::advance_states(sim::SimTime now) {
     const int id = static_cast<int>(i);
     if (core_.state[i] == MemberState::kQuarantined &&
         now >= core_.state_until_of(id)) {
-      core_.state[i] = MemberState::kProbation;
       core_.set_state_until(id, now + defense_.probation_seconds);
       // Fresh census epoch: history earned while lying must not survive
       // the rejoin (and a stale last_signal would poison the interval).
       core_.reset_epoch(id);
-      membership_changed(id, /*now_active=*/true);
+      move(id, MemberState::kProbation);
       rejoined.push_back(id);
     } else if (core_.state[i] == MemberState::kProbation &&
                now >= core_.state_until_of(id)) {
-      core_.state[i] = MemberState::kActive;
+      move(id, MemberState::kActive);
     }
     if (core_.state[i] == MemberState::kQuarantined ||
         core_.state[i] == MemberState::kProbation)

@@ -44,21 +44,29 @@
 // With the defense enabled the census rate-limits each member against the
 // MEDIAN peer rate (a storm cannot drag the median the way it drags the
 // minimum) and moves violators through a quarantine → probation → rejoin
-// state machine instead of the old binary excluded() bit:
+// cycle.
 //
-//   kActive --rate violation--> kQuarantined --timer--> kProbation
-//     ^                                                    |
-//     +------------- clean probation window ---------------+
+// The census is the only record of a member's lifecycle.  Its transitions:
 //
-// While quarantined a member counts as excluded() for every sender
+//   kActive --rate violation / force_quarantine()--> kQuarantined
+//   kQuarantined --dwell served--> kProbation --clean window--> kActive
+//   kProbation --rate violation / force_quarantine()--> kQuarantined
+//   kActive, kProbation --max_strikes-th strike--> kExcluded
+//   kActive, kProbation --excise()--> kExcised --readmit()--> kActive
+//   any state --exclude()--> kExcluded      (leave, silent, slow-drop)
+//
+// kExcluded is final: nothing leaves it.
+// kQuarantined, kExcised and kExcluded count as excluded() for every sender
 // mechanism (frozen scoreboard, skipped frontier, dropped ACKs).  Each
 // violation is a strike; strikes escalate the quarantine dwell and
-// max_strikes converts the member to kExcluded permanently.  Probation uses
-// a stricter rate factor (hysteresis), so a flip-flopping attacker is
-// re-caught faster each time it resumes.  Everything defaults to disabled:
-// defense off is byte-identical to the historical census.
-// force_quarantine() exposes the same strike machinery to the sender's
-// frontier-progress watchdog, which works with the rate defense off.
+// max_strikes converts the member to kExcluded.  Probation uses a stricter
+// rate factor (hysteresis), so a flip-flopping attacker is re-caught faster
+// each time it resumes.  Everything defaults to disabled: defense off is
+// byte-identical to the historical census.  force_quarantine() exposes the
+// same strike machinery to the sender's frontier-progress watchdog, which
+// works with the rate defense off.  Every transition goes through move(),
+// which updates active_count, the reservoir and membership_version exactly
+// when excluded() flips.
 #pragma once
 
 #include <algorithm>
@@ -132,8 +140,8 @@ class TroubledCensus : public replay::Snapshotable {
   int active_count() const { return active_count_; }
 
   /// Bumped on every change to the excluded()-membership (join, leave,
-  /// quarantine, rejoin).  Aggregate caches — here and in the sender's
-  /// receiver table — key their validity on it.
+  /// quarantine, excision, rejoin).  Aggregate caches — here and in the
+  /// sender's receiver table — key their validity on it.
   std::uint64_t membership_version() const { return membership_version_; }
 
   /// Records a congestion signal from receiver `i` at time `now`.  With the
@@ -141,18 +149,23 @@ class TroubledCensus : public replay::Snapshotable {
   /// to kQuarantined (or kExcluded on the final strike).
   void on_signal(int i, sim::SimTime now);
 
-  /// Permanently removes receiver `i` from the census (§4.3 slow-drop,
-  /// leaves, silent-receiver drops, subtree excision).
+  /// Removes receiver `i` for good, from any state (leave, silent-receiver
+  /// drop, §4.3 slow-drop): nothing brings a kExcluded member back.
   void exclude(int i);
 
-  /// Reverses exclude(): re-admits a kExcluded member as kActive with a
-  /// fresh census epoch (stale signal history from before the exclusion
-  /// must not poison its interval estimate).  The structural-heal path —
-  /// the sender's subtree re-admission ramp — graduates members back
-  /// through this.  No-op unless `i` is currently kExcluded.
+  /// Moves an active or probation member to kExcised: out of the census
+  /// together with its subtree until readmit().  No-op in any other state
+  /// (a quarantined member serves its quarantine).
+  void excise(int i);
+
+  /// Reverses excise(): re-admits a kExcised member as kActive with a fresh
+  /// census epoch (stale signal history from before the excision must not
+  /// poison its interval estimate).  The sender's subtree re-admission ramp
+  /// graduates members back through this.  No-op in any other state, so a
+  /// member that left during the outage stays out.
   void readmit(int i);
 
-  /// True while `i` must not influence the sender: permanently excluded OR
+  /// True while `i` must not influence the sender: excluded, excised or
   /// serving a quarantine.  Every sender-side guard (frontier, scoreboards,
   /// ACK intake, retransmit scans) keys off this, so quarantine reuses the
   /// exact mechanics that already handled departed receivers.
@@ -260,6 +273,9 @@ class TroubledCensus : public replay::Snapshotable {
   /// violation.  Defense-enabled path only.
   void rate_check(int i, sim::SimTime now);
   void quarantine(int i, sim::SimTime now);
+  /// The one state write: moves `i` to `to` and calls membership_changed()
+  /// exactly when that flips excluded().
+  void move(int i, MemberState to);
   void clear_troubled(int i);
   void set_troubled(int i);
   /// Member left the excluded() set (join/rejoin) or entered it.

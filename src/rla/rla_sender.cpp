@@ -149,13 +149,36 @@ int RlaSender::add_receiver(net::NodeId node, net::PortId port) {
 
 void RlaSender::remove_receiver(int idx) {
   if (idx < 0 || static_cast<std::size_t>(idx) >= table_.size()) return;
-  if (census_.excluded(idx)) return;
-  census_.exclude(idx);
-  census_.recompute(sim_.now());
-  // The departed receiver may have been the slowest: recompute the frontier
-  // and resume sending if its absence opened the window.
+  if (census_.state(idx) == cc::MemberState::kExcluded) return;
+  exclude({idx}, Exit::kLeave);
+}
+
+void RlaSender::exclude(const std::vector<int>& members, Exit cause) {
+  const sim::SimTime now = sim_.now();
+  for (const int m : members) {
+    if (cause == Exit::kQuarantine)
+      census_.force_quarantine(m, now);
+    else if (cause == Exit::kExcision)
+      census_.excise(m);
+    else
+      census_.exclude(m);
+  }
+  if (cause == Exit::kQuarantine) watchdog_quarantines_ += members.size();
+  if (cause == Exit::kSilent) silent_drops_ += members.size();
+  census_.recompute(now);
+  // The excluded members may have been the slowest: recompute the frontier
+  // over the rest and resume sending into the room that opened.
   advance_reach_all();
-  send_new_data(params_.max_burst);
+  if (cause == Exit::kExcision) restart_timeout_timer();
+  // A §4.3 drop happens mid-ACK: on_ack's own tail clocks the next sends.
+  if (cause != Exit::kSlowDrop) send_new_data(params_.max_burst);
+}
+
+void RlaSender::readmit(int member, net::SeqNum cum) {
+  census_.readmit(member);  // no-op after a served quarantine (kProbation)
+  table_.reset(member, cum);
+  table_.note_ack(member, sim_.now());
+  census_.note_srtt(member, table_.rtt(member).srtt());
 }
 
 void RlaSender::start_at(sim::SimTime when) {
@@ -204,30 +227,21 @@ std::size_t RlaSender::baseline_state_bytes() const {
   return b;
 }
 
-void RlaSender::rejoin_receivers(const std::vector<int>& rejoined) {
-  // Served quarantines rejoin as late joiners: scoreboard state thawed at
-  // the send frontier, liveness clock restarted.
-  for (const int r : rejoined) {
-    table_.reset(r, next_seq_);
-    table_.note_ack(r, sim_.now());
-  }
-}
-
 void RlaSender::on_receive(const net::Packet& p) {
   if (p.type != net::PacketType::kAck) return;
   const int idx = p.receiver_id;
   if (idx < 0 || static_cast<std::size_t>(idx) >= table_.size()) return;
   // Quarantine/probation clock. Polled before the excluded() gate so the
-  // quarantined member's own ACKs can drive its release.
+  // quarantined member's own ACKs can drive its release; a served
+  // quarantine rejoins at the send frontier, like a late joiner.
   if (params_.defense.enabled || params_.frontier_watchdog)
-    rejoin_receivers(census_.advance_states(sim_.now()));
+    for (const int r : census_.advance_states(sim_.now()))
+      readmit(r, next_seq_);
   // Structural heal detection, also ahead of the excluded() gate: an ACK
   // from an excised subtree member is the only signal that its partition
   // healed.  The member stays excluded until its subtree's re-admission
   // ramp graduates.
-  if (static_cast<std::size_t>(idx) < excised_.size() &&
-      excised_[static_cast<std::size_t>(idx)] != 0)
-    note_heal_ack(p, idx);
+  if (census_.state(idx) == cc::MemberState::kExcised) note_heal_ack(p, idx);
   // A stale ACK from a departed/dropped receiver (in flight at leave time,
   // or a crashed receiver coming back) must not touch frozen scoreboard or
   // census state.
@@ -256,8 +270,6 @@ void RlaSender::sb_on_retransmit(int idx, net::SeqNum seq) {
 }
 
 void RlaSender::on_ack(const net::Packet& ack, int idx) {
-  if (census_.excluded(idx)) return;
-
   // Per-receiver RTT estimate (Karn: skip samples off retransmitted seqs —
   // a multicast retransmission poisons the echo for every receiver, so the
   // global ever_rexmitted flag is the correct guard).
@@ -290,11 +302,7 @@ void RlaSender::on_ack(const net::Packet& ack, int idx) {
   // bound is enforced on the hot ACK path, where the lead is O(1) to read.
   if (params_.frontier_watchdog && table_.materialized(idx) &&
       table_.first_missing(idx) - table_.una(idx) > kMaxSackLead) {
-    census_.force_quarantine(idx, sim_.now());
-    ++watchdog_quarantines_;
-    census_.recompute(sim_.now());
-    advance_reach_all();
-    send_new_data(params_.max_burst);
+    exclude({idx}, Exit::kQuarantine);
     return;
   }
   mark_covered(ack, idx);
@@ -459,16 +467,10 @@ void RlaSender::check_frontier_watchdog() {
   // Everyone is pinned: a genuine shared loss, owned by the timeout path.
   if (pinners.empty() || static_cast<int>(pinners.size()) >= active) return;
 
-  for (const int idx : pinners) {
-    census_.force_quarantine(idx, sim_.now());
-    ++watchdog_quarantines_;
-  }
-  census_.recompute(sim_.now());
+  // The survivors define a new frontier; its stall clock starts now.
   last_frontier_progress_ = sim_.now();
   acks_since_progress_ = 0;
-  // The survivors define a new frontier; resume into the opened window.
-  advance_reach_all();
-  send_new_data(params_.max_burst);
+  exclude(pinners, Exit::kQuarantine);
 }
 
 void RlaSender::maybe_retransmit(net::SeqNum seq, int requester_idx,
@@ -659,31 +661,21 @@ void RlaSender::on_timeout() {
 
 void RlaSender::drop_silent_receivers() {
   if (params_.silent_drop_after <= 0.0) return;
-  bool dropped = false;
+  std::vector<int> silent;
   for (std::size_t i = 0; i < table_.size(); ++i) {
     const int idx = static_cast<int>(i);
-    if (census_.excluded(idx)) continue;
-    if (sim_.now() - table_.last_ack_at(idx) > params_.silent_drop_after) {
-      census_.exclude(idx);
-      ++silent_drops_;
-      dropped = true;
-    }
+    if (!census_.excluded(idx) &&
+        sim_.now() - table_.last_ack_at(idx) > params_.silent_drop_after)
+      silent.push_back(idx);
   }
-  if (!dropped) return;
-  census_.recompute(sim_.now());
-  // The silent receiver was pinning the frontier: recompute it over the
-  // survivors and resume sending into the room that opened.
-  advance_reach_all();
-  send_new_data(params_.max_burst);
+  if (!silent.empty()) exclude(silent, Exit::kSilent);
 }
 
 void RlaSender::set_subtree(int idx, int subtree) {
   if (!params_.degrade || subtree < 0) return;
   if (idx < 0 || static_cast<std::size_t>(idx) >= table_.size()) return;
-  if (subtree_of_.size() < table_.size()) {
+  if (subtree_of_.size() < table_.size())
     subtree_of_.resize(table_.size(), -1);
-    excised_.resize(table_.size(), 0);
-  }
   subtree_of_[static_cast<std::size_t>(idx)] = subtree;
   subtrees_[subtree].members.push_back(idx);
   if (!degrade_timer_) {
@@ -731,26 +723,21 @@ void RlaSender::excise_subtree(int sid, Subtree& st, sim::SimTime silence) {
   st.reach_at_excise = max_reach_all_;
   st.healed_at = -1.0;
   st.heard.clear();
+  std::vector<int> live;
+  for (const int m : st.members)
+    if (!census_.excluded(m)) live.push_back(m);
   SubtreeEvent ev;
   ev.subtree = sid;
   ev.excised_at = st.excised_at;
   ev.time_to_excise = silence;
-  for (const int m : st.members) {
-    if (census_.excluded(m)) continue;
-    census_.exclude(m);
-    excised_[static_cast<std::size_t>(m)] = 1;
-    ++ev.members_excised;
-  }
+  ev.members_excised = static_cast<int>(live.size());
   st.event_index = events_.size();
   events_.push_back(ev);
   ++subtree_excisions_;
-  census_.recompute(sim_.now());
   // ONE event for the whole subtree: census, reach-all frontier and the
   // RTO loop shrink to the survivors here, instead of k separate
   // silent-receiver detections each dragging its own timeout.
-  advance_reach_all();
-  restart_timeout_timer();
-  send_new_data(params_.max_burst);
+  exclude(live, Exit::kExcision);
 }
 
 void RlaSender::note_heal_ack(const net::Packet& ack, int idx) {
@@ -766,12 +753,6 @@ void RlaSender::note_heal_ack(const net::Packet& ack, int idx) {
   if (ack.ts_echo <= st.excised_at) return;
   const net::SeqNum cum = std::max<net::SeqNum>(0, ack.ack);
   if (st.phase == Subtree::Phase::kExcised) {
-    bool was_ramping = false;
-    for (const auto& [s2, st2] : subtrees_)
-      if (st2.phase == Subtree::Phase::kRamping) {
-        was_ramping = true;
-        break;
-      }
     st.phase = Subtree::Phase::kRamping;
     st.healed_at = sim_.now();
     st.ramp_next = cum;
@@ -779,7 +760,8 @@ void RlaSender::note_heal_ack(const net::Packet& ack, int idx) {
     events_[st.event_index].healed_at = st.healed_at;
     if (!ramp_timer_)
       ramp_timer_ = std::make_unique<sim::Timer>(sim_, [this] { ramp_tick(); });
-    if (!was_ramping) ramp_timer_->schedule(kRampTick);
+    // One timer paces every ramping subtree: armed exactly while one ramps.
+    if (!ramp_timer_->armed()) ramp_timer_->schedule(kRampTick);
   } else if (cum < st.ramp_next) {
     // A later healer is further behind: back the catch-up cursor down.
     st.ramp_next = cum;
@@ -789,6 +771,7 @@ void RlaSender::note_heal_ack(const net::Packet& ack, int idx) {
 }
 
 void RlaSender::ramp_tick() {
+  bool any_ramping = false;
   for (auto& [sid, st] : subtrees_) {
     (void)sid;
     if (st.phase != Subtree::Phase::kRamping) continue;
@@ -817,13 +800,9 @@ void RlaSender::ramp_tick() {
     if (st.ramp_next >= next_seq_ ||
         next_seq_ - min_cum <= kHandoverPackets)
       graduate_subtree(st);
-  }
-  bool any_ramping = false;
-  for (const auto& [sid2, st2] : subtrees_)
-    if (st2.phase == Subtree::Phase::kRamping) {
+    else
       any_ramping = true;
-      break;
-    }
+  }
   if (any_ramping) ramp_timer_->schedule(kRampTick);
 }
 
@@ -831,17 +810,14 @@ void RlaSender::graduate_subtree(Subtree& st) {
   const sim::SimTime now = sim_.now();
   SubtreeEvent& ev = events_[st.event_index];
   for (const auto& [m, cum] : st.heard) {
-    if (!census_.excluded(m)) continue;
-    census_.readmit(m);
-    excised_[static_cast<std::size_t>(m)] = 0;
-    // Thaw like a late joiner, but at the rejoiner's own cumulative point:
-    // the handover gap is the ordinary repair path's to close.
-    table_.reset(m, cum);
-    table_.note_ack(m, now);
-    census_.note_srtt(m, table_.rtt(m).srtt());
+    // A member that left during the outage stays out: leave is final.
+    if (census_.state(m) != cc::MemberState::kExcised) continue;
+    // Thaw at the rejoiner's own cumulative point: the handover gap is the
+    // ordinary repair path's to close.
+    readmit(m, cum);
     ++ev.members_readmitted;
   }
-  // Members never heard from post-heal stay excluded — they crashed (or
+  // Members never heard from post-heal stay excised — they crashed (or
   // churned away) rather than being partitioned.
   st.heard.clear();
   st.phase = Subtree::Phase::kHealthy;
@@ -866,11 +842,7 @@ void RlaSender::maybe_drop_slowest(int idx) {
   const double share =
       static_cast<double>(census_.signals(idx)) /
       static_cast<double>(census_.total_signals());
-  if (share > params_.slow_drop_fraction) {
-    census_.exclude(idx);
-    census_.recompute(sim_.now());
-    advance_reach_all();
-  }
+  if (share > params_.slow_drop_fraction) exclude({idx}, Exit::kSlowDrop);
 }
 
 }  // namespace rlacast::rla

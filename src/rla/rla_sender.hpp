@@ -76,9 +76,10 @@ class RlaSender final : public net::Agent, public replay::Snapshotable {
   int add_receiver(net::NodeId node, net::PortId port);
 
   /// Gracefully removes receiver `idx` from the session (leave): its ACKs
-  /// are ignored from now on and the window no longer waits for it. The
-  /// multicast tree itself is pruned by the caller if desired (delivery to
-  /// a departed subscriber is harmless).
+  /// are ignored from now on and the window no longer waits for it. Final
+  /// from any state — a quarantined or excised receiver that leaves is not
+  /// readmitted. The multicast tree itself is pruned by the caller if
+  /// desired (delivery to a departed subscriber is harmless).
   void remove_receiver(int idx);
 
   /// Starts the session at absolute simulation time `when`.
@@ -179,6 +180,17 @@ class RlaSender final : public net::Agent, public replay::Snapshotable {
                         net::PortId unicast_port);
   void on_timeout();
   void drop_silent_receivers();
+  /// Why members leave: kLeave, kSilent and kSlowDrop (§4.3) are final,
+  /// kQuarantine (frontier watchdog, cum-withholding) is timed, kExcision
+  /// lasts until the subtree graduates.
+  enum class Exit { kLeave, kSilent, kSlowDrop, kQuarantine, kExcision };
+  /// The one exit path: moves `members` out of the census for `cause`,
+  /// then recomputes the census and the frontier and resumes sending.
+  void exclude(const std::vector<int>& members, Exit cause);
+  /// The one way back in, after a served quarantine or a subtree
+  /// graduation: thaws `member`'s table state at `cum`, restarts its
+  /// liveness clock and mirrors its srtt into the census.
+  void readmit(int member, net::SeqNum cum);
   // Structural degradation (RlaParams::degrade); all no-ops when off.
   struct Subtree {
     enum class Phase { kHealthy, kExcised, kRamping };
@@ -200,7 +212,6 @@ class RlaSender final : public net::Agent, public replay::Snapshotable {
   void restart_timeout_timer();
   void maybe_drop_slowest(int idx);
   void check_frontier_watchdog();
-  void rejoin_receivers(const std::vector<int>& rejoined);
   /// Receiver idx's scoreboard, materializing it (with the global repair
   /// flags replayed) if it is still compact.
   cc::Scoreboard& ensure_board(int idx);
@@ -247,7 +258,6 @@ class RlaSender final : public net::Agent, public replay::Snapshotable {
 
   // Structural degradation state (empty / never allocated when off).
   std::vector<int> subtree_of_;           // receiver idx -> subtree, -1 none
-  std::vector<std::uint8_t> excised_;     // receiver idx -> excised flag
   std::map<int, Subtree> subtrees_;
   std::vector<SubtreeEvent> events_;
   std::unique_ptr<sim::Timer> degrade_timer_;  // detection poll

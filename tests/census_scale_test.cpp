@@ -57,7 +57,7 @@ void expect_census_lockstep(cc::TroubledCensus& a, cc::TroubledCensus& b,
   for (int s = 0; s < steps; ++s) {
     t += 0.01;
     const int i = static_cast<int>(lcg(x) % static_cast<std::uint64_t>(n));
-    switch (lcg(x) % 9) {
+    switch (lcg(x) % 10) {
       case 0: {
         const double srtt = 0.05 + 0.001 * static_cast<double>(lcg(x) % 400);
         a.note_srtt(i, srtt);
@@ -67,6 +67,10 @@ void expect_census_lockstep(cc::TroubledCensus& a, cc::TroubledCensus& b,
       case 1:
         a.exclude(i);
         b.exclude(i);
+        break;
+      case 5:
+        a.excise(i);
+        b.excise(i);
         break;
       case 2:
         a.force_quarantine(i, t);
@@ -137,7 +141,7 @@ TEST(CensusScale, DefaultReservoirAggregatesMatchBruteForce) {
   for (int s = 0; s < 1500; ++s) {
     t += 0.01;
     const int i = static_cast<int>(lcg(x) % n);
-    switch (lcg(x) % 10) {
+    switch (lcg(x) % 11) {
       case 0:
       case 1:
         fed[static_cast<std::size_t>(i)] =
@@ -146,6 +150,9 @@ TEST(CensusScale, DefaultReservoirAggregatesMatchBruteForce) {
         break;
       case 2:
         c.exclude(i);
+        break;
+      case 6:
+        c.excise(i);
         break;
       case 3:
         c.readmit(i);
@@ -197,12 +204,15 @@ TEST(CensusScale, DefaultReservoirTracksExactlyTheActiveSet) {
     t += 0.05;
     const int n = static_cast<int>(c.receiver_count());
     const int i = n > 0 ? static_cast<int>(lcg(x) % n) : 0;
-    switch (n < 4 ? 0 : lcg(x) % 8) {
+    switch (n < 4 ? 0 : lcg(x) % 9) {
       case 0:
         c.add_receiver();
         break;
       case 1:
         c.exclude(i);
+        break;
+      case 5:
+        c.excise(i);
         break;
       case 2:
         c.readmit(i);
@@ -385,7 +395,7 @@ TEST(SlimTable, AllTrackedMatchesPerMemberEstimators) {
     const int n = static_cast<int>(ref.size());
     const int i = static_cast<int>(lcg(x) % static_cast<std::uint64_t>(n));
     const auto u = static_cast<std::size_t>(i);
-    switch (lcg(x) % 8) {
+    switch (lcg(x) % 9) {
       case 0:
       case 1: {
         const double sample = 0.05 + 0.01 * static_cast<double>(lcg(x) % 50);
@@ -410,6 +420,9 @@ TEST(SlimTable, AllTrackedMatchesPerMemberEstimators) {
         break;
       case 6:
         if (n < 48) join();
+        break;
+      case 7:
+        census.excise(i);
         break;
       default:
         break;

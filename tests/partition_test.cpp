@@ -147,7 +147,7 @@ TEST(CensusReadmit, RestoresActiveMembershipWithFreshEpoch) {
   EXPECT_EQ(census.active_count(), 4);
   census.on_signal(1, 1.0);
   census.on_signal(1, 2.0);
-  census.exclude(1);
+  census.excise(1);
   EXPECT_EQ(census.active_count(), 3);
   EXPECT_TRUE(census.excluded(1));
   census.readmit(1);

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
+#include <string>
+#include <vector>
 
 #include "cc/troubled_census.hpp"
 #include "sim/random.hpp"
@@ -140,6 +143,146 @@ TEST_P(CensusEta, TroubledCountGrowsWithEta) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Etas, CensusEta, ::testing::Values(2.0, 5.0, 10.0, 20.0));
+
+// The member lifecycle, one row per (state × event): the state member 0
+// ends in, and how active_count() and membership_version() respond.
+// excluded() must hold exactly in kQuarantined, kExcised and kExcluded.
+enum class Event {
+  kJoin,
+  kLeave,
+  kExcise,
+  kForceQuarantine,
+  kQuarantineExpiry,
+  kProbationExpiry,
+  kStrikeOut,
+  kReadmit,
+};
+
+struct LifecycleRow {
+  MemberState from;
+  Event event;
+  MemberState to;
+  int active_delta;
+  bool version_moves;
+};
+
+TEST(Census, LifecycleTableCoversEveryStateAndEvent) {
+  using S = MemberState;
+  using E = Event;
+  const LifecycleRow rows[] = {
+      {S::kActive, E::kJoin, S::kActive, +1, true},
+      {S::kActive, E::kLeave, S::kExcluded, -1, true},
+      {S::kActive, E::kExcise, S::kExcised, -1, true},
+      {S::kActive, E::kForceQuarantine, S::kQuarantined, -1, true},
+      {S::kActive, E::kQuarantineExpiry, S::kActive, 0, false},
+      {S::kActive, E::kProbationExpiry, S::kActive, 0, false},
+      {S::kActive, E::kStrikeOut, S::kExcluded, -1, true},
+      {S::kActive, E::kReadmit, S::kActive, 0, false},
+      {S::kProbation, E::kJoin, S::kProbation, +1, true},
+      {S::kProbation, E::kLeave, S::kExcluded, -1, true},
+      {S::kProbation, E::kExcise, S::kExcised, -1, true},
+      {S::kProbation, E::kForceQuarantine, S::kQuarantined, -1, true},
+      {S::kProbation, E::kQuarantineExpiry, S::kProbation, 0, false},
+      {S::kProbation, E::kProbationExpiry, S::kActive, 0, false},
+      {S::kProbation, E::kStrikeOut, S::kExcluded, -1, true},
+      {S::kProbation, E::kReadmit, S::kProbation, 0, false},
+      {S::kQuarantined, E::kJoin, S::kQuarantined, +1, true},
+      {S::kQuarantined, E::kLeave, S::kExcluded, 0, false},
+      {S::kQuarantined, E::kExcise, S::kQuarantined, 0, false},
+      {S::kQuarantined, E::kForceQuarantine, S::kQuarantined, 0, false},
+      {S::kQuarantined, E::kQuarantineExpiry, S::kProbation, +1, true},
+      {S::kQuarantined, E::kProbationExpiry, S::kQuarantined, 0, false},
+      {S::kQuarantined, E::kStrikeOut, S::kQuarantined, 0, false},
+      {S::kQuarantined, E::kReadmit, S::kQuarantined, 0, false},
+      {S::kExcised, E::kJoin, S::kExcised, +1, true},
+      {S::kExcised, E::kLeave, S::kExcluded, 0, false},
+      {S::kExcised, E::kExcise, S::kExcised, 0, false},
+      {S::kExcised, E::kForceQuarantine, S::kExcised, 0, false},
+      {S::kExcised, E::kQuarantineExpiry, S::kExcised, 0, false},
+      {S::kExcised, E::kProbationExpiry, S::kExcised, 0, false},
+      {S::kExcised, E::kStrikeOut, S::kExcised, 0, false},
+      {S::kExcised, E::kReadmit, S::kActive, +1, true},
+      {S::kExcluded, E::kJoin, S::kExcluded, +1, true},
+      {S::kExcluded, E::kLeave, S::kExcluded, 0, false},
+      {S::kExcluded, E::kExcise, S::kExcluded, 0, false},
+      {S::kExcluded, E::kForceQuarantine, S::kExcluded, 0, false},
+      {S::kExcluded, E::kQuarantineExpiry, S::kExcluded, 0, false},
+      {S::kExcluded, E::kProbationExpiry, S::kExcluded, 0, false},
+      {S::kExcluded, E::kStrikeOut, S::kExcluded, 0, false},
+      {S::kExcluded, E::kReadmit, S::kExcluded, 0, false},
+  };
+  ASSERT_EQ(std::size(rows), 5u * 8u);
+  for (std::size_t k = 0; k < std::size(rows); ++k) {
+    const LifecycleRow& row = rows[k];
+    SCOPED_TRACE("row " + std::to_string(k));
+    // Member 0 of three reaches row.from by t = 100 (default dwells: a
+    // first quarantine lasts 20 s, probation 30 s).
+    TroubledCensus c(20.0, 0.25);
+    for (int i = 0; i < 3; ++i) c.add_receiver();
+    sim::SimTime deadline = 101.0;  // the timer events' clock when idle
+    switch (row.from) {
+      case S::kProbation:
+        c.force_quarantine(0, 80.0);
+        ASSERT_EQ(c.advance_states(100.0), std::vector<int>{0});
+        deadline = 130.0;
+        break;
+      case S::kQuarantined:
+        c.force_quarantine(0, 100.0);
+        deadline = 120.0;
+        break;
+      case S::kExcised:
+        c.excise(0);
+        break;
+      case S::kExcluded:
+        c.exclude(0);
+        break;
+      case S::kActive:
+        break;
+    }
+    ASSERT_EQ(c.state(0), row.from);
+    const int active = c.active_count();
+    const std::uint64_t version = c.membership_version();
+    switch (row.event) {
+      case E::kJoin:
+        EXPECT_EQ(c.state(c.add_receiver()), S::kActive);
+        break;
+      case E::kLeave:
+        c.exclude(0);
+        break;
+      case E::kExcise:
+        c.excise(0);
+        break;
+      case E::kForceQuarantine:
+        c.force_quarantine(0, 100.0);
+        break;
+      // The timer events run the clock to the member's own deadline of that
+      // kind, or one second on when it has none pending.
+      case E::kQuarantineExpiry:
+        (void)c.advance_states(row.from == S::kQuarantined ? deadline : 101.0);
+        break;
+      case E::kProbationExpiry:
+        (void)c.advance_states(row.from == S::kProbation ? deadline : 101.0);
+        break;
+      case E::kStrikeOut: {
+        // The strike that reaches max_strikes.
+        CensusDefenseParams d;
+        d.max_strikes = c.strikes(0) + 1;
+        c.set_defense(d);
+        c.force_quarantine(0, 100.0);
+        break;
+      }
+      case E::kReadmit:
+        c.readmit(0);
+        break;
+    }
+    EXPECT_EQ(c.state(0), row.to);
+    EXPECT_EQ(c.excluded(0), row.to == S::kQuarantined ||
+                                 row.to == S::kExcised ||
+                                 row.to == S::kExcluded);
+    EXPECT_EQ(c.active_count(), active + row.active_delta);
+    EXPECT_EQ(c.membership_version() != version, row.version_moves);
+  }
+}
 
 // Fuzz: adversarial signal sequences — bursts, long silences, simultaneous
 // signals, signals at identical timestamps, mid-stream exclusions — must

@@ -1,10 +1,11 @@
 // Robustness of the RLA sender's membership paths: a leave mid
 // congestion-signal window must not double-cut, stale ACKs from departed
-// receivers are ignored, silent (crashed) receivers are shed without
-// stalling the session, and a churning tertiary tree finishes with a clean
-// watchdog.
+// receivers are ignored, a leave is final even mid-quarantine, silent
+// (crashed) receivers are shed without stalling the session, and a churning
+// tertiary tree finishes with a clean watchdog.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <set>
 #include <vector>
@@ -39,6 +40,8 @@ class FlakyReceiver final : public net::Agent {
   void drop_range(net::SeqNum lo, net::SeqNum hi) {
     for (net::SeqNum s = lo; s < hi; ++s) blackhole_.insert(s);
   }
+  /// `seq` never arrives, retransmissions included.
+  void lose_forever(net::SeqNum seq) { lost_.insert(seq); }
   void silence() { silenced_ = true; }
 
   const tcp::ReassemblyBuffer& buffer() const { return buf_; }
@@ -47,6 +50,7 @@ class FlakyReceiver final : public net::Agent {
     if (silenced_) return;
     if (p.type != net::PacketType::kData) return;
     if (blackhole_.count(p.seq) && !p.is_rexmit) return;
+    if (lost_.count(p.seq)) return;
     buf_.add(p.seq);
     net::Packet ack;
     ack.type = net::PacketType::kAck;
@@ -74,6 +78,7 @@ class FlakyReceiver final : public net::Agent {
   bool silenced_ = false;
   tcp::ReassemblyBuffer buf_;
   std::set<net::SeqNum> blackhole_;
+  std::set<net::SeqNum> lost_;
 };
 
 struct Star {
@@ -165,6 +170,38 @@ TEST(RlaRobustness, StaleAckAfterRemoveIsIgnored) {
   live.receiver_id = 0;
   star.snd->on_receive(live);
   EXPECT_EQ(star.snd->acks_received(), acks_before + 1);
+}
+
+// Regression: a receiver that leaves while the frontier watchdog holds it in
+// quarantine stays out. The leave used to be skipped for any excluded
+// member, so the served quarantine put the silent receiver back on
+// probation, where it pinned the frontier for the rest of the run.
+TEST(RlaRobustness, LeaveWhileQuarantinedIsFinal) {
+  RlaParams p;
+  p.frontier_watchdog = true;
+  Star star(3, p);
+  star.rcvrs[2]->lose_forever(50);  // pins the frontier at 50
+  star.snd->start_at(0.0);
+
+  bool left = false;
+  std::function<void()> poll = [&] {
+    if (star.snd->watchdog_quarantines() == 0) {
+      star.sim.after(0.05, poll);
+      return;
+    }
+    star.snd->remove_receiver(2);
+    star.rcvrs[2]->silence();
+    left = true;
+  };
+  star.sim.at(0.05, poll);
+  net::SeqNum reach_at_65 = 0;
+  star.sim.at(65.0, [&] { reach_at_65 = star.snd->max_reach_all(); });
+  star.sim.run_until(90.0);
+
+  ASSERT_TRUE(left);
+  EXPECT_TRUE(star.snd->receiver_dropped(2));
+  EXPECT_EQ(star.snd->active_receivers(), 2);
+  EXPECT_GT(star.snd->max_reach_all(), reach_at_65);
 }
 
 TEST(RlaRobustness, SilentReceiverIsShedAndSessionResumes) {
