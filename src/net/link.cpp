@@ -69,6 +69,11 @@ void Link::pump() {
   if (!next) return;
   busy_ = true;
   tx_pkt_ = std::move(*next);
+  // ns-2's order: the arrival's key is taken before the serializer end's
+  // (LinkDelay::recv schedules target_ before intr_).  A faulted wire may
+  // duplicate the packet, so it reserves a second key for the copy.
+  tx_seq_ = sim_.scheduler().take_seq();
+  if (fault_ != nullptr) sim_.scheduler().take_seq();
   inflight_hiwater_ = std::max(inflight_hiwater_, in_flight());
   auto done = [this] { on_serialized(); };
   static_assert(sim::SmallCallback::fits_inline<decltype(done)>(),
@@ -83,7 +88,7 @@ void Link::on_serialized() {
   if (fault_ == nullptr) {
     ++delivered_;
     bytes_delivered_ += static_cast<std::uint64_t>(tx_pkt_.size_bytes);
-    pipe_.push(sim_.now() + delay_, std::move(tx_pkt_));
+    pipe_.push(sim_.now() + delay_, tx_seq_, std::move(tx_pkt_));
     inflight_hiwater_ = std::max(inflight_hiwater_, in_flight());
     pump();
     return;
@@ -106,12 +111,13 @@ void Link::on_serialized() {
   sim::SimTime arrive_at = sim_.now() + delay_ + jitter;
   if (arrive_at < last_arrival_) arrive_at = last_arrival_;
   last_arrival_ = arrive_at;
+  std::uint64_t seq = tx_seq_;
   if (v.duplicated) {
     ++fault_duplicates_;
     ++sim_.scheduler().counters_mut().fault_duplicates;
-    pipe_.push(arrive_at, tx_pkt_);  // the extra copy; original follows
+    pipe_.push(arrive_at, seq++, tx_pkt_);  // the extra copy; original follows
   }
-  pipe_.push(arrive_at, std::move(tx_pkt_));
+  pipe_.push(arrive_at, seq, std::move(tx_pkt_));
   inflight_hiwater_ = std::max(inflight_hiwater_, in_flight());
   pump();
 }

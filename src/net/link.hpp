@@ -14,7 +14,9 @@
 // Packet into closures.  Propagation delay is a per-link constant and
 // serialization ends are strictly ordered, so deliveries pop the ring FIFO.
 // The pipe is a sim::TimedFifo: each packet reserves its arrival's dispatch
-// key at serialization end and only the head's arrival is armed, so the
+// key when its transmission starts, before the serializer end's key, as
+// ns-2's LinkDelay::recv orders them, and enters the pipe under that key at
+// serialization end.  Only the head's arrival is armed, so the
 // link holds at most two events (serializer, pipe head) however many
 // packets are on the wire, and each arrival still dispatches under the key
 // an event of its own would have had.
@@ -162,6 +164,7 @@ class Link : public replay::Snapshotable {
   std::unique_ptr<Queue> queue_;
   bool busy_ = false;
   Packet tx_pkt_;      // the packet being serialized (valid while busy_)
+  std::uint64_t tx_seq_ = 0;  // its arrival's key, reserved at start
   sim::TimedFifo<Packet, Deliver> pipe_;  // serialized, still propagating
   std::size_t inflight_hiwater_ = 0;
   std::uint64_t delivered_ = 0;
