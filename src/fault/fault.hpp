@@ -12,9 +12,9 @@
 // Where each impairment acts in the queue → serializer → pipe pipeline:
 //  * outages — transmit(): the interface is down, the offered packet is
 //    discarded before it reaches the queue;
-//  * loss / duplication / jitter — serialization end: the packet survived
-//    queueing and serialization but is corrupted, copied, or delayed on its
-//    propagation leg.
+//  * loss / duplication / jitter — the wire: the packet survived queueing
+//    but is corrupted, copied, or delayed on its propagation leg.  The
+//    verdict is drawn when the packet starts serializing.
 // Queue dynamics are never touched; congestion drops remain congestion
 // drops, and every fault discard is counted separately (Link::fault_drops(),
 // stats::EngineCounters::fault_drops).
@@ -95,7 +95,7 @@ struct LinkImpairment {
 /// Aggregate fault accounting across a plan (sum over armed links).
 struct FaultTotals {
   std::uint64_t offered = 0;       // packets the wire() hook adjudicated
-  std::uint64_t wire_losses = 0;   // lost at serialization end
+  std::uint64_t wire_losses = 0;   // lost on the wire
   std::uint64_t outage_drops = 0;  // discarded at a down interface
   std::uint64_t duplicates = 0;    // extra copies injected
 };

@@ -36,11 +36,11 @@ Link::~Link() {
 
 replay::Snapshot Link::snapshot_state() const {
   replay::Snapshot s;
-  s.put("busy", busy_);
+  s.put("busy", serializing());
   s.put("pipe", pipe_.size());
   s.put("inflight_hiwater", inflight_hiwater_);
-  s.put("delivered", delivered_);
-  s.put("bytes_delivered", bytes_delivered_);
+  s.put("delivered", packets_delivered());
+  s.put("bytes_delivered", bytes_delivered());
   s.put("drops", drops_);
   s.put("fault_drops", fault_drops_);
   s.put("fault_duplicates", fault_duplicates_);
@@ -60,66 +60,68 @@ void Link::transmit(const Packet& p) {
     ++drops_;  // queue overflow: the hop discards the packet
     return;
   }
-  pump();
+  // The queue holds packets only while the transmitter is busy, so a free
+  // transmitter starts the packet just offered.
+  if (!serializing()) {
+    start();
+  } else if (!end_armed_) {
+    arm_end();  // the first packet to wait: its start needs the event
+  }
 }
 
-void Link::pump() {
-  if (busy_) return;
+void Link::start() {
   auto next = queue_->dequeue(sim_.now());
   if (!next) return;
-  busy_ = true;
-  tx_pkt_ = std::move(*next);
-  // ns-2's order: the arrival's key is taken before the serializer end's
-  // (LinkDelay::recv schedules target_ before intr_).  A faulted wire may
-  // duplicate the packet, so it reserves a second key for the copy.
-  tx_seq_ = sim_.scheduler().take_seq();
-  if (fault_ != nullptr) sim_.scheduler().take_seq();
-  inflight_hiwater_ = std::max(inflight_hiwater_, in_flight());
+  Packet& p = *next;
+  busy_until_ = sim_.now() + tx_time(p.size_bytes);
+  tx_bytes_ = p.size_bytes;
+  if (fault_ == nullptr) {
+    pipe_.push(busy_until_ + delay_, std::move(p));
+  } else {
+    // Faulted wire: the packet may be lost, duplicated, or jittered on its
+    // propagation leg.  Queue dynamics above are untouched.
+    const LinkFaultHook::WireVerdict v = fault_->wire(p, busy_until_);
+    if (v.lost) {
+      ++fault_drops_;
+      ++sim_.scheduler().counters_mut().fault_drops;
+      tx_bytes_ = -1;
+    } else {
+      // The pipe pops FIFO, so a jittered arrival must never overtake an
+      // earlier one: clamp each arrival to be monotone in start order.
+      const sim::SimTime jitter = v.extra_delay > 0.0 ? v.extra_delay : 0.0;
+      sim::SimTime arrive_at = busy_until_ + delay_ + jitter;
+      if (arrive_at < last_arrival_) arrive_at = last_arrival_;
+      last_arrival_ = arrive_at;
+      if (v.duplicated) {
+        ++fault_duplicates_;
+        ++sim_.scheduler().counters_mut().fault_duplicates;
+        pipe_.push(arrive_at, p);  // the extra copy; original follows
+      }
+      pipe_.push(arrive_at, std::move(p));
+    }
+  }
+  if (tx_bytes_ >= 0) {
+    ++delivered_;
+    bytes_delivered_ += static_cast<std::uint64_t>(tx_bytes_);
+  }
+  inflight_hiwater_ = std::max(inflight_hiwater_, pipe_.size());
+  end_seq_ = sim_.scheduler().take_seq();
+}
+
+void Link::arm_end() {
+  end_armed_ = true;
   auto done = [this] { on_serialized(); };
   static_assert(sim::SmallCallback::fits_inline<decltype(done)>(),
                 "link pipeline events must use the inline callback path");
-  sim_.after(tx_time(tx_pkt_.size_bytes), std::move(done));
+  sim_.scheduler().schedule_at_seq(busy_until_, end_seq_, std::move(done));
 }
 
 void Link::on_serialized() {
-  // Serialization end: free the transmitter, launch the propagation leg,
-  // and serve the next queued packet.
-  busy_ = false;
-  if (fault_ == nullptr) {
-    ++delivered_;
-    bytes_delivered_ += static_cast<std::uint64_t>(tx_pkt_.size_bytes);
-    pipe_.push(sim_.now() + delay_, tx_seq_, std::move(tx_pkt_));
-    inflight_hiwater_ = std::max(inflight_hiwater_, in_flight());
-    pump();
-    return;
-  }
-
-  // Faulted wire: the serialized packet may be lost, duplicated, or jittered
-  // on its propagation leg.  Queue dynamics above are untouched.
-  const LinkFaultHook::WireVerdict v = fault_->wire(tx_pkt_, sim_.now());
-  if (v.lost) {
-    ++fault_drops_;
-    ++sim_.scheduler().counters_mut().fault_drops;
-    pump();
-    return;
-  }
-  ++delivered_;
-  bytes_delivered_ += static_cast<std::uint64_t>(tx_pkt_.size_bytes);
-  // The pipe pops FIFO, so a jittered arrival must never overtake an earlier
-  // one: clamp each arrival to be monotone in scheduling order.
-  const sim::SimTime jitter = v.extra_delay > 0.0 ? v.extra_delay : 0.0;
-  sim::SimTime arrive_at = sim_.now() + delay_ + jitter;
-  if (arrive_at < last_arrival_) arrive_at = last_arrival_;
-  last_arrival_ = arrive_at;
-  std::uint64_t seq = tx_seq_;
-  if (v.duplicated) {
-    ++fault_duplicates_;
-    ++sim_.scheduler().counters_mut().fault_duplicates;
-    pipe_.push(arrive_at, seq++, tx_pkt_);  // the extra copy; original follows
-  }
-  pipe_.push(arrive_at, seq, std::move(tx_pkt_));
-  inflight_hiwater_ = std::max(inflight_hiwater_, in_flight());
-  pump();
+  // Serialization end with a packet waiting: serve it, and stay armed for
+  // the next end while the queue still holds packets.
+  end_armed_ = false;
+  start();
+  if (queue_->length() != 0) arm_end();
 }
 
 void Link::Deliver::operator()(const Packet& p) const {

@@ -7,19 +7,25 @@
 //    which the transmitter is free to serve the next packet (propagation is
 //    pipelined, serialization is not).
 //
-// In-flight packets — the one being serialized and those in the propagation
-// pipe — live in a small ring owned by the link; the pipeline events per hop
-// (serialization end, propagation end) are thin callbacks referencing the
-// link, so pumping a packet performs zero heap allocations and copies no
-// Packet into closures.  Propagation delay is a per-link constant and
-// serialization ends are strictly ordered, so deliveries pop the ring FIFO.
-// The pipe is a sim::TimedFifo: each packet reserves its arrival's dispatch
-// key when its transmission starts, before the serializer end's key, as
-// ns-2's LinkDelay::recv orders them, and enters the pipe under that key at
-// serialization end.  Only the head's arrival is armed, so the
-// link holds at most two events (serializer, pipe head) however many
-// packets are on the wire, and each arrival still dispatches under the key
-// an event of its own would have had.
+// Events follow ns-2's order.  When a packet starts transmitting its fate
+// on the wire is settled at once: it enters the propagation pipe, due at
+// serialization end + delay, and only then is the transmitter's end key
+// (busy_until_, end_seq_) reserved, as LinkDelay::recv schedules target_
+// before intr_.  The pipe is a sim::TimedFifo: each packet keeps its
+// arrival key beside it in a ring and only the head's arrival is armed, so
+// starting a packet performs zero heap allocations and every arrival still
+// dispatches under the key an event of its own would have had.  Propagation
+// delay is a per-link constant and starts are strictly ordered, so
+// deliveries pop the ring FIFO.
+//
+// The serializer end is an event only when a packet waits behind a busy
+// transmitter: transmit() then schedules it under exactly the reserved end
+// key, and it re-arms itself while the queue is non-empty.  A hop with no
+// backlog costs one event per packet (its arrival), a backlogged hop two,
+// and every event runs under the key it has when each serializer end is an
+// event.  Whether the transmitter is free is a key comparison
+// (sim::Scheduler::passed): a packet offered at exactly busy_until_ starts
+// only if the offering event orders after the end key.
 //
 // Note on buffer semantics: the packet currently being serialized has left
 // the queue, so a queue capacity of B packets admits B+1 packets on the hop.
@@ -45,8 +51,10 @@ class Network;
 /// at the two points of the pipeline where real impairments act:
 ///  * transmit() — interface state: a down link discards offered packets
 ///    before they enter the queue (they were never transmitted);
-///  * serialization end — the wire: a serialized packet may be corrupted
-///    (lost), duplicated, or delayed (jitter) on its propagation leg.
+///  * transmission start — the wire: the packet may be corrupted (lost),
+///    duplicated, or delayed (jitter) on its propagation leg.  The verdict
+///    is drawn when the packet starts serializing, for the time its
+///    serialization ends, and applied to the wire.
 /// Queue dynamics are never touched: congestion drops stay congestion
 /// drops, and fault discards are counted separately (Link::fault_drops(),
 /// stats::EngineCounters::fault_drops).
@@ -70,8 +78,8 @@ class LinkFaultHook {
     sim::SimTime extra_delay = 0;  // jitter added to the propagation leg
   };
 
-  /// Wire verdict for one serialized packet. Called once per packet that
-  /// finishes serialization while the hook is installed.
+  /// Wire verdict for one packet whose serialization ends at `now`. Called
+  /// once per packet that starts serializing while the hook is installed.
   virtual WireVerdict wire(const Packet& p, sim::SimTime now) = 0;
 };
 
@@ -98,22 +106,33 @@ class Link : public replay::Snapshotable {
     return static_cast<double>(bytes) * 8.0 / bandwidth_bps_;
   }
 
-  std::uint64_t packets_delivered() const { return delivered_; }
-  std::uint64_t bytes_delivered() const { return bytes_delivered_; }
+  /// Packets (and their bytes) that finished serialization onto the wire;
+  /// wire losses excluded.
+  std::uint64_t packets_delivered() const {
+    return delivered_ - (in_service_delivers() ? 1u : 0u);
+  }
+  std::uint64_t bytes_delivered() const {
+    return bytes_delivered_ -
+           (in_service_delivers() ? static_cast<std::uint64_t>(tx_bytes_) : 0u);
+  }
 
   /// Packets rejected by the output queue at transmit() time.  Mirrors
   /// queue().stats().dropped but survives queue swaps and is the link-level
   /// answer to "did this hop silently discard traffic?".
   std::uint64_t drops() const { return drops_; }
 
-  /// Packets currently on the hop: serializing + in the propagation pipe.
-  std::size_t in_flight() const { return pipe_.size() + (busy_ ? 1u : 0u); }
+  /// Packets currently on the hop: the one serializing and those
+  /// propagating, all of which sit in the pipe (a packet lost on the wire
+  /// never enters it).
+  std::size_t in_flight() const { return pipe_.size(); }
 
   /// Deepest simultaneous in-flight occupancy seen (engine counter; bounded
-  /// by the hop's bandwidth-delay product plus the serializer).
+  /// by the hop's bandwidth-delay product plus the serializer, and a
+  /// duplicate's copy on a faulted wire).
   std::size_t in_flight_hiwater() const { return inflight_hiwater_; }
 
-  /// Installs (or clears, with nullptr) the fault-injection hook. The hook
+  /// Installs (or clears, with nullptr) the fault-injection hook; packets
+  /// that start serializing afterwards get its verdicts. The hook
   /// must outlive the link or be cleared before it dies, and must not be
   /// cleared while packets it jittered are still in flight: a later pristine
   /// arrival could then fall before them, and the pipe delivers in order.
@@ -134,7 +153,8 @@ class Link : public replay::Snapshotable {
   void set_routing_enabled(bool on) { routing_enabled_ = on; }
 
   /// Packets discarded by injected faults (interface outage at transmit()
-  /// plus wire loss at serialization end). Disjoint from drops().
+  /// plus wire loss, counted when the lost packet starts serializing).
+  /// Disjoint from drops().
   std::uint64_t fault_drops() const { return fault_drops_; }
   /// Extra packet copies delivered because of injected duplication.
   std::uint64_t fault_duplicates() const { return fault_duplicates_; }
@@ -152,7 +172,18 @@ class Link : public replay::Snapshotable {
     void operator()(const Packet& p) const;
   };
 
-  void pump();
+  /// True until the end key of the packet last started has passed.
+  bool serializing() const {
+    return !sim_.scheduler().passed(busy_until_, end_seq_);
+  }
+  /// Whether the packet in service is counted in delivered_ already.
+  bool in_service_delivers() const { return tx_bytes_ >= 0 && serializing(); }
+
+  /// Starts the head-of-line packet, if any: draws its wire verdict, puts
+  /// it in the pipe and reserves the transmitter's end key.
+  void start();
+  /// Schedules the serializer end under the reserved end key.
+  void arm_end();
   void on_serialized();
 
   sim::Simulator& sim_;
@@ -162,10 +193,12 @@ class Link : public replay::Snapshotable {
   double bandwidth_bps_;
   sim::SimTime delay_;
   std::unique_ptr<Queue> queue_;
-  bool busy_ = false;
-  Packet tx_pkt_;      // the packet being serialized (valid while busy_)
-  std::uint64_t tx_seq_ = 0;  // its arrival's key, reserved at start
-  sim::TimedFifo<Packet, Deliver> pipe_;  // serialized, still propagating
+  sim::SimTime busy_until_ = 0.0;  // with end_seq_, the transmitter's end
+  std::uint64_t end_seq_ = 0;      // key; (0, 0) has passed from the start
+  bool end_armed_ = false;         // the serializer-end event is scheduled
+  std::int32_t tx_bytes_ = -1;     // bytes of the last packet started; -1
+                                   // if the wire lost it (never delivered)
+  sim::TimedFifo<Packet, Deliver> pipe_;  // on the wire, not yet arrived
   std::size_t inflight_hiwater_ = 0;
   std::uint64_t delivered_ = 0;
   std::uint64_t bytes_delivered_ = 0;

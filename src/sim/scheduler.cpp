@@ -98,7 +98,7 @@ void Scheduler::release_slot(std::uint32_t slot) {
 
 EventId Scheduler::schedule_at_seq(SimTime at, std::uint64_t seq,
                                    Callback cb) {
-  assert(at >= now_ && "cannot schedule into the past");
+  assert(!passed(at, seq) && "key must order after the dispatched event");
   assert(seq != 0 && seq < next_seq_ && "sequence number not from take_seq");
   assert(cb && "scheduling an empty callback");
   std::uint32_t slot;
@@ -194,6 +194,7 @@ bool Scheduler::run_one() {
   // scheduling from the callback (which may reuse this very slot) is safe.
   Slot& s = slots_[slot];
   now_ = s.at;
+  now_seq_ = s.seq;
   Callback cb = std::move(s.cb);  // leaves the slot empty
   release_slot(slot);
   --live_events_;
@@ -225,18 +226,19 @@ replay::Snapshot Scheduler::snapshot_state() const {
 void Scheduler::run_until(SimTime until) {
   while (true) {
     const SimTime t = next_time();
-    if (t == kNever) return;
-    if (t > until) {
-      now_ = until;
-      return;
-    }
+    if (t == kNever || t > until) break;
     run_one();
   }
+  if (!heap_.empty()) now_ = until;
+  // Every event due by now_ has run, so every key reserved so far at a time
+  // not after now_ has passed.
+  now_seq_ = next_seq_ - 1;
 }
 
 void Scheduler::run_all() {
   while (run_one()) {
   }
+  now_seq_ = next_seq_ - 1;
 }
 
 }  // namespace rlacast::sim

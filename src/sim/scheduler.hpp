@@ -18,6 +18,9 @@
 //    the packet enters the FIFO, keep (time, seq) beside it, and arm only
 //    the head with schedule_at_seq() — the dispatch keys are exactly those
 //    an event per packet would have had;
+//  * a link reserves its serializer end's key when a packet starts and
+//    schedules the event under it only if another packet comes to wait;
+//    passed() tells whether a reserved key is still ahead of the clock;
 //  * reschedule_at() moving an event no earlier than its queued heap entry
 //    only records the new key in the slot; the entry is re-queued under it
 //    when it reaches the top.  That is what makes TCP-style "restart the
@@ -67,10 +70,18 @@ class Scheduler : public replay::Snapshotable {
   std::uint64_t take_seq() { return next_seq_++; }
 
   /// Schedules `cb` under the key (at, seq), where `seq` came from
-  /// take_seq() and has not been used.  The key must order after the event
-  /// being dispatched (at >= now(); a FIFO source's keys increase in both
-  /// components).
+  /// take_seq() and has not been used.  The key must not have passed()
+  /// (a FIFO source's keys increase in both components).
   EventId schedule_at_seq(SimTime at, std::uint64_t seq, Callback cb);
+
+  /// True when the key (at, seq) orders at or before the event being
+  /// dispatched, i.e. an event under that key would already have run.
+  /// Once run_until()/run_all() has returned, every key reserved before
+  /// the return at a time not after now() has passed; keys reserved later
+  /// have not.
+  bool passed(SimTime at, std::uint64_t seq) const {
+    return at < now_ || (at == now_ && seq <= now_seq_);
+  }
 
   /// Retargets a pending event to fire at `at` instead, keeping its stored
   /// callback (no destroy/reconstruct, no slot churn).  The event takes a
@@ -192,6 +203,7 @@ class Scheduler : public replay::Snapshotable {
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNoFree;
   SimTime now_ = 0.0;
+  std::uint64_t now_seq_ = 0;  // with now_, the key passed() compares with
   std::uint64_t next_seq_ = 1;
   std::size_t live_events_ = 0;
   stats::EngineCounters counters_;

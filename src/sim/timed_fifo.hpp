@@ -40,14 +40,9 @@ class TimedFifo {
   std::size_t size() const { return ring_.size(); }
 
   /// Appends `v`, due at `at`; arms it if the FIFO was empty.
-  void push(SimTime at, T v) { push(at, sched_.take_seq(), std::move(v)); }
-
-  /// Appends `v` under the key (at, seq), where `seq` was reserved with
-  /// take_seq() earlier and exceeds every key already queued.
-  void push(SimTime at, std::uint64_t seq, T v) {
-    assert(ring_.empty() || (ring_[ring_.size() - 1].at <= at &&
-                             ring_[ring_.size() - 1].seq < seq));
-    ring_.push_back(Entry{std::move(v), at, seq});
+  void push(SimTime at, T v) {
+    assert(ring_.empty() || ring_[ring_.size() - 1].at <= at);
+    ring_.push_back(Entry{std::move(v), at, sched_.take_seq()});
     if (ring_.size() == 1) arm_head();
   }
 

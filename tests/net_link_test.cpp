@@ -1,5 +1,6 @@
 // Link and network-delivery tests: serialization timing, propagation
-// pipelining, queue backpressure, and the SendPacer overhead model.
+// pipelining, queue backpressure, dispatches per hop, and the SendPacer
+// overhead model.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -197,6 +198,49 @@ TEST(Link, DropCounterMatchesQueueStatsAndMonitor) {
   EXPECT_EQ(mon.peak_backlog(), 2u);
   EXPECT_EQ(mon.samples().front().backlog, 2u);
   EXPECT_EQ(mon.samples().back().backlog, 0u);
+}
+
+TEST(Link, IdleHopCostsOneDispatch) {
+  // Nothing waits behind the transmitter, so its end needs no event: the
+  // arrival is the only dispatch.
+  Fixture f;
+  f.net.inject(f.data(0));
+  f.sim.run_all();
+  ASSERT_EQ(f.sink.arrivals.size(), 1u);
+  EXPECT_EQ(f.sim.scheduler().dispatched(), 1u);
+}
+
+TEST(Link, BackToBackPacketsCostOneSerializerEndPerWaitingPacket) {
+  // k packets offered at once: k arrivals plus the k - 1 serializer ends
+  // that each start a waiting packet.  The last end finds the queue empty
+  // and is never scheduled.
+  for (SeqNum k : {1, 2, 5, 20}) {
+    Fixture f(8000.0, 0.1, /*buffer=*/100);
+    for (SeqNum s = 0; s < k; ++s) f.net.inject(f.data(s));
+    f.sim.run_all();
+    ASSERT_EQ(f.sink.arrivals.size(), static_cast<std::size_t>(k));
+    EXPECT_EQ(f.sim.scheduler().dispatched(),
+              static_cast<std::uint64_t>(2 * k - 1));
+  }
+}
+
+TEST(Link, OfferAtTheSerializationEndWaitsForItsKey) {
+  // Packet 0 serializes over [0, 1) s.  An offer at exactly 1 s from an
+  // event ordered before the serializer end's key finds the transmitter
+  // busy: the packet waits and the end becomes an event.  One ordered after
+  // the key finds it free and starts at once.
+  for (bool before : {true, false}) {
+    Fixture f;
+    auto offer = [&f] { f.net.inject(f.data(1)); };
+    if (before) f.sim.at(1.0, offer);
+    f.net.inject(f.data(0));
+    if (!before) f.sim.at(1.0, offer);
+    f.sim.run_all();
+    ASSERT_EQ(f.sink.arrivals.size(), 2u);
+    EXPECT_NEAR(f.sink.arrivals[1].second, 2.1, 1e-9);
+    // The offer, two arrivals, and the serializer end only when it waited.
+    EXPECT_EQ(f.sim.scheduler().dispatched(), before ? 4u : 3u);
+  }
 }
 
 TEST(SendPacer, ZeroOverheadInjectsImmediately) {

@@ -198,6 +198,35 @@ TEST(Scheduler, ReservedSequenceOrdersAsOfTheReservation) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
+TEST(Scheduler, PassedComparesWithTheDispatchedKey) {
+  Scheduler s;
+  EXPECT_TRUE(s.passed(0.0, 0));  // the key every clock starts from
+  const std::uint64_t reserved = s.take_seq();
+  EXPECT_FALSE(s.passed(0.0, reserved));
+  bool checked = false;
+  s.schedule_at(1.0, [&] {
+    const std::uint64_t later = s.take_seq();
+    EXPECT_TRUE(s.passed(0.5, later));       // an earlier time
+    EXPECT_TRUE(s.passed(1.0, reserved));    // this time, a smaller seq
+    EXPECT_FALSE(s.passed(1.0, later));      // this time, reserved after
+    EXPECT_FALSE(s.passed(1.5, reserved));   // a later time
+    checked = true;
+  });
+  s.schedule_at(3.0, [] {});
+  s.run_until(2.0);
+  EXPECT_TRUE(checked);
+  EXPECT_DOUBLE_EQ(s.now(), 2.0);
+  // Between runs, every key reserved before the return at a time up to
+  // now() has passed; keys reserved afterwards have not.
+  EXPECT_TRUE(s.passed(2.0, reserved));
+  const std::uint64_t fresh = s.take_seq();
+  EXPECT_TRUE(s.passed(2.0, fresh - 1));
+  EXPECT_FALSE(s.passed(2.0, fresh));
+  s.schedule_at_seq(2.0, fresh, [] {});
+  s.run_all();
+  EXPECT_TRUE(s.passed(3.0, fresh));
+}
+
 TEST(Scheduler, RescheduleOrdersLikeCancelPlusReschedule) {
   // Retargeting onto an occupied timestamp consumes a fresh sequence number,
   // so the moved event fires after events already booked at that time.
