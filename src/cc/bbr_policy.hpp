@@ -1,5 +1,6 @@
-// BBR-style model-based rate control — the second modern competitor of
-// ROADMAP item 3 (exemplar: /root/related/rohithsaji__TCP-BBRv1/).
+// BBR-style model-based rate control — the second modern competitor beyond
+// the paper's evaluation (exemplar: the ns-3 TCP-BBRv1 friendliness and
+// fairness harnesses in SNIPPETS.md §1–2).
 //
 // This is NOT a line-for-line BBRv1: it is the model-based *shape* of BBR
 // reduced to what the discrete-event benches need, built on the repo's

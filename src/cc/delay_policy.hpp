@@ -1,6 +1,6 @@
-// Delay-based congestion control (Vegas-style srtt-gradient), the modern
-// competitor ROADMAP item 3 calls for (PAPERS.md: "Achieving Fair Network
-// Equilibria with Delay-based Congestion Control Algorithms").
+// Delay-based congestion control (Vegas-style srtt-gradient), a modern
+// competitor beyond the paper's evaluation (PAPERS.md: "Achieving Fair
+// Network Equilibria with Delay-based Congestion Control Algorithms").
 //
 // Two cooperating pieces, mirroring the split every controller in the repo
 // uses:

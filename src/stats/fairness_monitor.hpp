@@ -1,5 +1,6 @@
 // Continuous fairness telemetry: a timer-polled sliding-window Jain index
-// over a set of flows (ROADMAP item 3's "Jain-fairness telemetry").
+// over a set of flows (its demand-aware form is part (c) of ROADMAP "Runs
+// that explain themselves").
 //
 // The paper's Theorems I/II bound the *ratio* of the RLA session's
 // throughput to TCP's; the Jain index J = (sum x)^2 / (n * sum x^2)

@@ -55,7 +55,7 @@ enum class TcpVariant {
   kSack,   // scoreboard loss detection + pipe-based recovery (default)
   kReno,   // dupack-count fast retransmit + window-inflation fast recovery
   kTahoe,  // dupack-count fast retransmit, then slow start from 1
-  // Modern competitors (ROADMAP item 3; not part of the paper's evaluation):
+  // Modern competitors (not part of the paper's evaluation; PAPERS.md):
   kVegas,  // delay-based: once-per-RTT srtt-gradient window adjustment
            // (cc::DelayGradient) over Reno loss mechanics
   kBbr     // BBR-style: windowed max-bandwidth / min-RTT model (cc::BbrModel)

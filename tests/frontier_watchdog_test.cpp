@@ -1,5 +1,6 @@
-// Frontier-progress watchdog regression (ISSUE 9 satellite, ROADMAP item 6):
-// the majority-coalition liveness hole.
+// Frontier-progress watchdog regression (ROADMAP "Defenses that compose,
+// and RTT sampling for every member", part (b)): the majority-coalition
+// liveness hole.
 //
 // Nine signal-storm receivers (a third of the tree) freeze their cumulative
 // ACK behind a fabricated hole and never release it.  The census rate

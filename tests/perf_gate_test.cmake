@@ -1,4 +1,5 @@
-# Perf-regression gate (ROADMAP item 5): run `bench_engine --trajectory`
+# Perf-regression gate (ROADMAP "One perf harness, cost attributed per
+# layer, and a gate that can fail"): run `bench_engine --trajectory`
 # fresh and compare its headline throughput metrics against the checked-in
 # repo-root BENCH_engine.json snapshot.  A fresh metric more than 15% below
 # the snapshot emits a CMake WARNING — visible in the ctest log — but does
