@@ -66,8 +66,6 @@ struct HopCounters {
   std::uint64_t enqueued = 0, dequeued = 0, queue_dropped = 0;
   std::uint64_t wire_offered = 0, wire_losses = 0, outage_drops = 0;
   double red_avg = 0.0;
-
-  bool operator==(const HopCounters&) const = default;
 };
 
 fault::LinkImpairment impairment(int hop) {
@@ -272,23 +270,10 @@ class RefWorld final : public World {
 
   /// Serializer ends that found the queue empty: the events net::Link
   /// leaves out.
-  std::uint64_t idle_ends() const {
-    std::uint64_t n = 0;
-    for (const auto& l : links_) n += l->idle_ends;
-    return n;
-  }
+  std::uint64_t idle_ends = 0;
   /// Offers at exactly a serialization end, from events ordered before
   /// (transmitter still busy) and after its key.
-  std::uint64_t ties_before() const {
-    std::uint64_t n = 0;
-    for (const auto& l : links_) n += l->ties_before;
-    return n;
-  }
-  std::uint64_t ties_after() const {
-    std::uint64_t n = 0;
-    for (const auto& l : links_) n += l->ties_after;
-    return n;
-  }
+  std::uint64_t ties_before = 0, ties_after = 0;
 
  private:
   struct RefLink {
@@ -298,7 +283,7 @@ class RefWorld final : public World {
 
     void transmit(const Packet& p) {
       const sim::SimTime now = world.sim.now();
-      if (now == end) ++(busy ? ties_before : ties_after);
+      if (now == end) ++(busy ? world.ties_before : world.ties_after);
       if (fault && fault->down(now)) {
         ++counts.fault_drops;
         return;
@@ -349,7 +334,7 @@ class RefWorld final : public World {
         ++counts.delivered;
         counts.bytes += static_cast<std::uint64_t>(tx_bytes);
       }
-      if (queue->length() == 0) ++idle_ends;
+      if (queue->length() == 0) ++world.idle_ends;
       start();
     }
 
@@ -364,7 +349,6 @@ class RefWorld final : public World {
     sim::SimTime end = -1.0;
     sim::SimTime last_arrival = 0.0;
     std::uint64_t pipe = 0;
-    std::uint64_t idle_ends = 0, ties_before = 0, ties_after = 0;
   };
 
   void inject(const Packet& p) override {
@@ -436,7 +420,6 @@ TEST_P(LinkReference, MatchesTwoEventLinkMinusIdleSerializerEnds) {
       EXPECT_EQ(a.wire_losses, b.wire_losses);
       EXPECT_EQ(a.outage_drops, b.outage_drops);
       EXPECT_EQ(a.red_avg, b.red_avg);  // bit-identical EWMA history
-      EXPECT_TRUE(a == b);
       drops += b.queue_dropped;
       if (c.faults) {
         EXPECT_GT(b.fault_duplicates, 0u);
@@ -445,10 +428,10 @@ TEST_P(LinkReference, MatchesTwoEventLinkMinusIdleSerializerEnds) {
     }
     EXPECT_GT(drops, 0u) << "the load never filled a queue";
     EXPECT_EQ(real.sim.scheduler().dispatched(),
-              ref.sim.scheduler().dispatched() - ref.idle_ends());
-    EXPECT_GT(ref.idle_ends(), 0u);
-    ties_before += ref.ties_before();
-    ties_after += ref.ties_after();
+              ref.sim.scheduler().dispatched() - ref.idle_ends);
+    EXPECT_GT(ref.idle_ends, 0u);
+    ties_before += ref.ties_before;
+    ties_after += ref.ties_after;
   }
   // Both sides of the end key were exercised: offers at exactly a
   // serialization end while the transmitter was still busy, and after it
