@@ -68,6 +68,21 @@ struct HopCounters {
   double red_avg = 0.0;
 };
 
+/// Fills in the counters a hop's queue and fault hook keep themselves.
+void add_queue_and_fault(HopCounters& c, const Queue& q,
+                         const fault::LinkFaultState* f) {
+  c.enqueued = q.stats().enqueued;
+  c.dequeued = q.stats().dequeued;
+  c.queue_dropped = q.stats().dropped;
+  if (f != nullptr) {
+    c.wire_offered = f->offered();
+    c.wire_losses = f->wire_losses();
+    c.outage_drops = f->outage_drops();
+  }
+  if (const auto* red = dynamic_cast<const RedQueue*>(&q))
+    c.red_avg = red->avg();
+}
+
 fault::LinkImpairment impairment(int hop) {
   fault::LinkImpairment imp;
   imp.loss_p = 0.05;
@@ -198,16 +213,8 @@ class RealWorld final : public World {
     c.drops = l.drops();
     c.fault_drops = l.fault_drops();
     c.fault_duplicates = l.fault_duplicates();
-    c.enqueued = l.queue().stats().enqueued;
-    c.dequeued = l.queue().stats().dequeued;
-    c.queue_dropped = l.queue().stats().dropped;
-    if (const auto& f = faults_[static_cast<std::size_t>(hop)]) {
-      c.wire_offered = f->offered();
-      c.wire_losses = f->wire_losses();
-      c.outage_drops = f->outage_drops();
-    }
-    if (const auto* red = dynamic_cast<const RedQueue*>(&l.queue()))
-      c.red_avg = red->avg();
+    add_queue_and_fault(c, l.queue(),
+                        faults_[static_cast<std::size_t>(hop)].get());
     return c;
   }
 
@@ -243,7 +250,8 @@ class RefWorld final : public World {
         // Network::connect creates each forward link's queue before its
         // reverse twin's, so forward hop h draws from stream 2h.
         q = std::make_unique<RedQueue>(
-            red_params(c), sim.rng_stream("red-queue-" + std::to_string(2 * h)));
+            red_params(c),
+            sim.rng_stream("red-queue-" + std::to_string(2 * h)));
       } else {
         q = std::make_unique<DropTailQueue>(c.buffer, c.slot_bytes);
       }
@@ -255,16 +263,7 @@ class RefWorld final : public World {
   HopCounters counters(int hop) const override {
     const RefLink& l = *links_[static_cast<std::size_t>(hop)];
     HopCounters c = l.counts;
-    c.enqueued = l.queue->stats().enqueued;
-    c.dequeued = l.queue->stats().dequeued;
-    c.queue_dropped = l.queue->stats().dropped;
-    if (l.fault) {
-      c.wire_offered = l.fault->offered();
-      c.wire_losses = l.fault->wire_losses();
-      c.outage_drops = l.fault->outage_drops();
-    }
-    if (const auto* red = dynamic_cast<const RedQueue*>(l.queue.get()))
-      c.red_avg = red->avg();
+    add_queue_and_fault(c, *l.queue, l.fault.get());
     return c;
   }
 
