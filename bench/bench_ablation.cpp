@@ -31,6 +31,12 @@ topo::FlatTreeConfig flat_base(const bench::Options& opt) {
 
 int main(int argc, char** argv) {
   bench::Options opt = bench::parse_options(argc, argv);
+  if (opt.smoke) {
+    // CI-sized pass for the golden-output regression guard
+    // (tests/golden_bench_test.cmake): short runs, every table.
+    opt.duration = 40.0;
+    opt.warmup = 10.0;
+  }
   bench::print_header("RLA design-choice ablations", opt);
 
   // ---- A1: grouping window -----------------------------------------------------

@@ -54,6 +54,12 @@ Measured run_rla(int n_branches, double mu_pps, bool shared,
 
 int main(int argc, char** argv) {
   bench::Options opt = bench::parse_options(argc, argv);
+  if (opt.smoke) {
+    // CI-sized pass for the golden-output regression guard
+    // (tests/golden_bench_test.cmake): short runs, every table.
+    opt.duration = 40.0;
+    opt.warmup = 10.0;
+  }
   bench::print_header(
       "Model validation: eq. (1), eq. (3), Proposition bounds", opt);
 

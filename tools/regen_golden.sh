@@ -10,7 +10,7 @@ build=${1:-build}
 
 benches=(bench_fig7_droptail bench_fig8_signals bench_fig9_red
          bench_fig10_rtt bench_multisession bench_workload bench_robustness
-         bench_partition bench_adversary)
+         bench_partition bench_adversary bench_ablation bench_model_validation)
 for b in "${benches[@]}"; do
   bin="$build/bench/$b"
   if [[ ! -x "$bin" ]]; then
