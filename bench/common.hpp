@@ -12,7 +12,7 @@
 
 #include "exp/runner.hpp"
 #include "stats/table.hpp"
-#include "topo/flow_rows.hpp"
+#include "topo/scenario.hpp"  // FlowRow
 
 namespace rlacast::bench {
 

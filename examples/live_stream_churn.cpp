@@ -44,9 +44,10 @@ int main() {
 
   rla::RlaParams params;
   params.max_cwnd = 512;
-  rla::RlaSession session(net, s, /*group=*/1, params);
-  const int a = session.add_receiver(audience[0]);
-  const int b = session.add_receiver(audience[1]);
+  const net::PortId port = 9001;
+  rla::RlaSession session(net, s, /*group=*/1, port, /*flow=*/9001, params);
+  const int a = session.add_receiver(audience[0], port);
+  const int b = session.add_receiver(audience[1], port);
   session.start_at(0.0);
 
   auto rate_between = [&](net::SeqNum from, double seconds) {
@@ -63,7 +64,7 @@ int main() {
               static_cast<long long>(reach60));
 
   // C joins mid-stream.
-  const int c = session.add_receiver(audience[2]);
+  const int c = session.add_receiver(audience[2], port);
   sim.run_until(120.0);
   const auto reach120 = session.sender().max_reach_all();
   std::printf("t=120 s  C joined at t=60; rate since: %5.1f pkt/s; C holds "

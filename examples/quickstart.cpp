@@ -14,8 +14,7 @@
 #include <vector>
 
 #include "net/network.hpp"
-#include "rla/rla_receiver.hpp"
-#include "rla/rla_sender.hpp"
+#include "rla/rla_session.hpp"
 #include "sim/simulator.hpp"
 #include "tcp/tcp_receiver.hpp"
 #include "tcp/tcp_sender.hpp"
@@ -48,17 +47,13 @@ int main() {
   }
   net.build_routes();  // fills unicast routing tables (BFS)
 
-  // 3. The multicast session: one RLA sender, one receiver per leaf.
-  const net::GroupId group = 1;
+  // 3. The multicast session: one RLA sender, one receiver per leaf (each
+  //    add_receiver grafts the leaf onto the group's tree).
   rla::RlaParams rla_params;  // paper defaults: eta=20, pthresh=1/n, ...
-  rla::RlaSender mcast(net, s, /*port=*/1, group, /*flow=*/100, rla_params);
-  std::vector<std::unique_ptr<rla::RlaReceiver>> mcast_rcvrs;
-  for (const auto r : receivers) {
-    net.join_group(group, s, r);                       // graft the tree
-    const int id = mcast.add_receiver(r, /*port=*/1);  // sender-side state
-    mcast_rcvrs.push_back(std::make_unique<rla::RlaReceiver>(
-        net, r, /*port=*/1, group, s, /*sender_port=*/1, id));
-  }
+  rla::RlaSession session(net, s, /*group=*/1, /*port=*/1, /*flow=*/100,
+                          rla_params);
+  for (const auto r : receivers) session.add_receiver(r, /*port=*/1);
+  rla::RlaSender& mcast = session.sender();
 
   // 4. Background TCP: one SACK connection from S to each receiver.
   std::vector<std::unique_ptr<tcp::TcpSender>> tcp_senders;

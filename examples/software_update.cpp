@@ -11,12 +11,10 @@
 //     duplicate traffic on clean branches).
 // Also demonstrates the §4.3 slow-receiver drop option on a crippled branch.
 #include <cstdio>
-#include <memory>
 #include <vector>
 
 #include "net/network.hpp"
-#include "rla/rla_receiver.hpp"
-#include "rla/rla_sender.hpp"
+#include "rla/rla_session.hpp"
 #include "sim/simulator.hpp"
 
 using namespace rlacast;
@@ -64,13 +62,10 @@ FleetRun push_update(int rexmit_thresh, bool drop_straggler,
   params.enable_slow_receiver_drop = drop_straggler;
   params.slow_drop_fraction = 0.8;
   params.slow_drop_min_signals = 50;
-  rla::RlaSender sender(net, s, 1, /*group=*/1, /*flow=*/7, params);
-  std::vector<std::unique_ptr<rla::RlaReceiver>> rcvrs;
-  for (const auto r : fleet) {
-    net.join_group(1, s, r);
-    const int id = sender.add_receiver(r, 1);
-    rcvrs.push_back(std::make_unique<rla::RlaReceiver>(net, r, 1, 1, s, 1, id));
-  }
+  rla::RlaSession session(net, s, /*group=*/1, /*port=*/1, /*flow=*/7,
+                          params);
+  for (const auto r : fleet) session.add_receiver(r, /*port=*/1);
+  rla::RlaSender& sender = session.sender();
   sender.start_at(0.0);
 
   // Poll for completion: every receiver (except a dropped straggler) holds

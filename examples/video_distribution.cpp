@@ -14,8 +14,7 @@
 #include <vector>
 
 #include "net/network.hpp"
-#include "rla/rla_receiver.hpp"
-#include "rla/rla_sender.hpp"
+#include "rla/rla_session.hpp"
 #include "sim/simulator.hpp"
 #include "tcp/tcp_receiver.hpp"
 #include "tcp/tcp_sender.hpp"
@@ -58,14 +57,10 @@ RunResult run(double rtt_exponent, std::uint64_t seed) {
   rla::RlaParams params;
   params.rtt_exponent = rtt_exponent;
   params.max_send_overhead = 8000.0 / (200 * 8000.0);
-  rla::RlaSender mcast(net, s, 1, /*group=*/1, /*flow=*/99, params);
-  std::vector<std::unique_ptr<rla::RlaReceiver>> mrcvrs;
-  for (const auto r : rcvr_nodes) {
-    net.join_group(1, s, r);
-    const int id = mcast.add_receiver(r, 1);
-    mrcvrs.push_back(
-        std::make_unique<rla::RlaReceiver>(net, r, 1, 1, s, 1, id));
-  }
+  rla::RlaSession session(net, s, /*group=*/1, /*port=*/1, /*flow=*/99,
+                          params);
+  for (const auto r : rcvr_nodes) session.add_receiver(r, /*port=*/1);
+  rla::RlaSender& mcast = session.sender();
 
   std::vector<std::unique_ptr<tcp::TcpSender>> tcps;
   std::vector<std::unique_ptr<tcp::TcpReceiver>> tcprs;

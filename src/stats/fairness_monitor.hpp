@@ -10,14 +10,14 @@
 // benches can plot a time series and report the minimum (the worst
 // transient), not just the run-long average that hides convergence.
 //
-// Application-limited exclusion (the fix ISSUE 6 calls out): a flow that
-// WON'T use its share — a web flow between requests, a finite flow's tail,
-// a source that has not started — is not evidence about a flow that CAN'T
-// get its share.  Each probe carries an app_limited() predicate; a flow
-// that reports limited at either window edge (or made no progress at all
-// while limited) is dropped from that window's index, and the sample
-// records how many flows were excluded.  With every flow excluded the
-// window yields no index (jain = -1) and is skipped by min/mean.
+// Application-limited exclusion: a flow that WON'T use its share — a web
+// flow between requests, a finite flow's tail, a source that has not
+// started — is not evidence about a flow that CAN'T get its share.  Each
+// probe carries an app_limited() predicate; a flow that reports limited at
+// either window edge (or made no progress at all while limited) is dropped
+// from that window's index, and the sample records how many flows were
+// excluded.  With every flow excluded the window yields no index
+// (jain = -1) and is skipped by min/mean.
 //
 // Determinism: the monitor draws no randomness and, when config.window is
 // 0 (the default everywhere), arms no timer and touches nothing — the four

@@ -6,11 +6,7 @@
 #include <memory>
 #include <vector>
 
-#include "net/network.hpp"
 #include "rla/group_receiver.hpp"
-#include "rla/rla_sender.hpp"
-#include "sim/simulator.hpp"
-#include "tcp/tcp_receiver.hpp"
 
 namespace rlacast::topo {
 namespace {
@@ -30,17 +26,13 @@ constexpr sim::SimTime kAckSpread = 0.02;
 /// probes.
 constexpr sim::SimTime kSamplePeriod = 0.5;
 
-double pps_to_bps(double pps) {
-  return pps * static_cast<double>(net::kDataPacketBytes) * 8.0;
-}
-
 }  // namespace
 
 BigTreeResult run_big_tree(const BigTreeConfig& cfg) {
   assert(cfg.receivers > 0 && cfg.group_size > 0);
-  sim::Simulator sim(cfg.seed);
-  if (cfg.instrument) cfg.instrument(sim);
-  net::Network net(sim);
+  Scenario scn(cfg.seed, cfg.instrument);
+  sim::Simulator& sim = scn.sim();
+  net::Network& net = scn.net();
 
   const int groups =
       (cfg.receivers + cfg.group_size - 1) / cfg.group_size;
@@ -88,65 +80,46 @@ BigTreeResult run_big_tree(const BigTreeConfig& cfg) {
       c.buffer_pkts = cfg.buffer_pkts;  // the soft bottleneck stays small
       c.reverse_bandwidth_bps = kFastLinkBps;
       c.reverse_buffer_pkts = ack_buf;  // the group's collapsed ACK paths
-      c.queue = cfg.gateway == GatewayType::kRed ? net::QueueKind::kRed
-                                                 : net::QueueKind::kDropTail;
+      c.queue = cfg.gateway;
       c.red = cfg.red;
     }
     const auto duplex = net.connect(up, leaf[static_cast<std::size_t>(g)], c);
     if (g < congested) bottleneck_links.push_back(duplex.forward);
   }
-  net.build_routes();
-
-  // Drop-tail phase randomization: both flow kinds share one jitter bound
-  // derived from the bottleneck serialization time (see run_tertiary_tree).
-  const sim::SimTime overhead =
-      cfg.gateway == GatewayType::kDropTail
-          ? static_cast<double>(net::kDataPacketBytes) * 8.0 / cap_bps
-          : 0.0;
+  scn.build_routes(cfg.gateway);
 
   // --- the RLA session -------------------------------------------------------
-  const net::GroupId group_id = 1;
+  // Its members join by collapsed group: one GroupReceiver per group leaf
+  // answers for the leaf's members.
   const net::PortId sender_port = 1000;
   const net::PortId rcvr_port = 10;
-  rla::RlaParams rp = cfg.rla;
-  rp.max_send_overhead = overhead;
-  auto sender = std::make_unique<rla::RlaSender>(net, s, sender_port, group_id,
-                                                 /*flow=*/1000, rp);
-  sender->reserve_receivers(static_cast<std::size_t>(cfg.receivers));
+  rla::RlaSession& session =
+      scn.add_session(s, /*group=*/1, sender_port, /*flow=*/1000, cfg.rla);
+  rla::RlaSender& sender = session.sender();
+  sender.reserve_receivers(static_cast<std::size_t>(cfg.receivers));
   std::vector<std::unique_ptr<rla::GroupReceiver>> group_receivers;
   group_receivers.reserve(static_cast<std::size_t>(groups));
   int remaining = cfg.receivers;
   for (int g = 0; g < groups; ++g) {
     const net::NodeId node = leaf[static_cast<std::size_t>(g)];
-    net.join_group(group_id, s, node);
+    net.join_group(session.group(), s, node);
     const int members = std::min(cfg.group_size, remaining);
     remaining -= members;
     std::vector<int> ids;
     ids.reserve(static_cast<std::size_t>(members));
     for (int m = 0; m < members; ++m)
-      ids.push_back(sender->add_receiver(node, rcvr_port));
+      ids.push_back(sender.add_receiver(node, rcvr_port));
     group_receivers.push_back(std::make_unique<rla::GroupReceiver>(
-        net, node, rcvr_port, group_id, s, sender_port, std::move(ids),
-        std::max(kAckSpread, overhead)));
+        net, node, rcvr_port, session.group(), s, sender_port, std::move(ids),
+        std::max(kAckSpread, scn.send_jitter())));
   }
   assert(remaining == 0);
 
   // --- background TCP on every congested group link --------------------------
-  std::vector<std::unique_ptr<tcp::TcpSender>> tcp_senders;
-  std::vector<std::unique_ptr<tcp::TcpReceiver>> tcp_receivers;
-  for (int g = 0; g < congested; ++g) {
-    const net::NodeId node = leaf[static_cast<std::size_t>(g)];
-    const auto port = static_cast<net::PortId>(100 + g);
-    tcp::TcpParams tp = cfg.tcp;
-    tp.max_send_overhead = overhead;
-    tcp_receivers.push_back(std::make_unique<tcp::TcpReceiver>(
-        net, node, port, overhead));
-    tcp_senders.push_back(std::make_unique<tcp::TcpSender>(
-        net, s, port, node, port, static_cast<net::FlowId>(g + 1), tp));
-  }
+  for (int g = 0; g < congested; ++g)
+    scn.add_tcp(s, leaf[static_cast<std::size_t>(g)], /*port=*/100 + g,
+                /*flow=*/g + 1, cfg.tcp);
 
-  auto starts = sim.rng_stream("start-jitter");
-  for (auto& t : tcp_senders) t->start_at(starts.uniform(0.0, 1.0));
   // The RLA session starts (plus jitter) alongside the background TCPs, so
   // every session slow-starts into the same empty queues — the paper's
   // setups start flows together.  Starting it AFTER the TCPs entrench is a
@@ -154,21 +127,17 @@ BigTreeResult run_big_tree(const BigTreeConfig& cfg) {
   // probability by full-window TCPs, every small restart burst tail-loses
   // (no packets after the hole -> no dupacks -> full RTO), and the session
   // never escapes the timeout/collapse cycle.
-  sender->start_at(starts.uniform(0.0, 0.5));
+  scn.start(cfg.warmup, /*session_spread=*/0.5);
 
   BigTreeResult res;
   res.nodes = static_cast<int>(net.node_count());
   res.groups = groups;
 
-  sim.at(cfg.warmup, [&] {
-    sender->measurement().begin_measurement(sim.now());
-    for (auto& t : tcp_senders) t->measurement().begin_measurement(sim.now());
-  });
   sim::Timer sampler(sim, [&] {
     res.materialized_hiwater =
-        std::max(res.materialized_hiwater, sender->materialized_scoreboards());
+        std::max(res.materialized_hiwater, sender.materialized_scoreboards());
     res.sender_state_bytes_hiwater =
-        std::max(res.sender_state_bytes_hiwater, sender->state_bytes());
+        std::max(res.sender_state_bytes_hiwater, sender.state_bytes());
     if (sim.now() + kSamplePeriod <= cfg.duration)
       sampler.schedule(kSamplePeriod);
   });
@@ -176,9 +145,8 @@ BigTreeResult run_big_tree(const BigTreeConfig& cfg) {
   sim.run_until(cfg.duration);
 
   // --- results ---------------------------------------------------------------
-  res.rla = make_row(sender->measurement(), cfg.duration);
-  for (auto& t : tcp_senders)
-    res.tcps.push_back(make_row(t->measurement(), cfg.duration));
+  res.rla = make_row(sender.measurement(), cfg.duration);
+  res.tcps = scn.background_rows(cfg.duration);
   double drops = 0.0;
   for (net::Link* l : bottleneck_links) drops += l->queue().stats().drop_rate();
   res.bottleneck_drop_rate =
@@ -188,16 +156,15 @@ BigTreeResult run_big_tree(const BigTreeConfig& cfg) {
   for (const auto& l : net.links()) all_drops += l->queue().stats().dropped;
   for (net::Link* l : bottleneck_links) all_drops -= l->queue().stats().dropped;
   res.offpath_drops = all_drops;
-  res.acks = sender->acks_received();
+  res.acks = sender.acks_received();
   res.events = sim.scheduler().dispatched();
-  res.mcast_rexmits = sender->multicast_rexmits();
-  res.ucast_rexmits = sender->unicast_rexmits();
-  res.troubled_final = sender->num_trouble_rcvr();
-  res.active_final = sender->active_receivers();
-  res.watchdog_quarantines = sender->watchdog_quarantines();
-  res.sender_state_bytes = sender->state_bytes();
-  res.baseline_state_bytes = sender->baseline_state_bytes();
-  res.materialized_final = sender->materialized_scoreboards();
+  res.mcast_rexmits = sender.multicast_rexmits();
+  res.ucast_rexmits = sender.unicast_rexmits();
+  res.troubled_final = sender.num_trouble_rcvr();
+  res.active_final = sender.active_receivers();
+  res.sender_state_bytes = sender.state_bytes();
+  res.baseline_state_bytes = sender.baseline_state_bytes();
+  res.materialized_final = sender.materialized_scoreboards();
   res.materialized_hiwater =
       std::max(res.materialized_hiwater, res.materialized_final);
   res.sender_state_bytes_hiwater =

@@ -29,8 +29,7 @@
 #include "rla/rla_params.hpp"
 #include "sim/simulator.hpp"
 #include "tcp/tcp_sender.hpp"
-#include "topo/flat_tree.hpp"  // GatewayType
-#include "topo/flow_rows.hpp"
+#include "topo/scenario.hpp"  // FlowRow, GatewayType
 
 namespace rlacast::topo {
 
@@ -78,7 +77,6 @@ struct BigTreeResult {
   std::uint64_t ucast_rexmits = 0;
   int troubled_final = 0;
   int active_final = 0;
-  std::uint64_t watchdog_quarantines = 0;
 
   /// Sender memory for the per-receiver machinery (rla::ReceiverTable +
   /// census + send info), sampled at end of run and at its high water.

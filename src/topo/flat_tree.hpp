@@ -17,15 +17,9 @@
 #include "rla/rla_params.hpp"
 #include "sim/time.hpp"
 #include "tcp/tcp_sender.hpp"
-#include "topo/flow_rows.hpp"
-
-namespace rlacast::sim {
-class Simulator;
-}
+#include "topo/scenario.hpp"  // FlowRow, GatewayType
 
 namespace rlacast::topo {
-
-enum class GatewayType { kDropTail, kRed };
 
 struct FlatBranch {
   double mu_pps = 200.0;  // bottleneck capacity of this branch, packets/s
@@ -64,8 +58,6 @@ struct FlatTreeResult {
   std::vector<int> tcp_branch;            // branch index of each TCP row
   std::vector<std::uint64_t> rla_signals_per_receiver;
   std::vector<double> bottleneck_drop_rate;  // per branch (or [0] if shared)
-  double rla_mcast_rexmits = 0.0;
-  double rla_ucast_rexmits = 0.0;
   int num_troubled_final = 0;
 
   const FlowRow& worst_tcp() const { return tcps[worst_index(tcps)]; }

@@ -1,16 +1,11 @@
 #include "topo/tertiary_tree.hpp"
 
-#include <algorithm>
+#include <array>
 #include <cassert>
 #include <memory>
 
 #include "fault/fault.hpp"
-#include "net/network.hpp"
-#include "rla/rla_receiver.hpp"
-#include "rla/rla_sender.hpp"
-#include "sim/simulator.hpp"
 #include "sim/watchdog.hpp"
-#include "tcp/tcp_receiver.hpp"
 #include "topo/failover.hpp"
 
 namespace rlacast::topo {
@@ -19,10 +14,6 @@ namespace {
 constexpr double kFastLinkBps = 100e6;  // every uncongested link
 constexpr sim::SimTime kUpperDelay = sim::milliseconds(5);   // levels 1-3
 constexpr sim::SimTime kLeafDelay = sim::milliseconds(100);  // level 4
-
-double pps_to_bps(double pps) {
-  return pps * static_cast<double>(net::kDataPacketBytes) * 8.0;
-}
 
 struct LinkRef {
   net::NodeId from;
@@ -37,40 +28,23 @@ struct LinkRef {
 /// callback path.
 struct ChurnDriver {
   sim::Simulator& sim;
-  net::Network& net;
-  rla::RlaSender& sender;
-  std::vector<std::unique_ptr<rla::RlaReceiver>>& owned;
-  std::vector<rla::RlaReceiver*>& by_idx;  // census idx -> receiver
+  rla::RlaSession& session;
   const std::array<net::NodeId, 27>& leaf;
-  net::NodeId src;
-  net::GroupId group;
-  net::PortId sender_port;
-  rla::RlaReceiverOptions ropts;  // template for rejoining receivers
   double mean_interval;
   sim::SimTime rejoin_after;
   sim::Rng rng;
-  std::array<int, 27> member{};  // current census idx per leaf, -1 if away
+  std::array<int, 27> member{};  // current receiver idx per leaf, -1 if away
   net::PortId next_port = 20000;
   std::uint64_t leaves = 0;
   std::uint64_t joins = 0;
   sim::Timer timer;
 
-  ChurnDriver(sim::Simulator& s_, net::Network& n_, rla::RlaSender& snd,
-              std::vector<std::unique_ptr<rla::RlaReceiver>>& own,
-              std::vector<rla::RlaReceiver*>& idx,
-              const std::array<net::NodeId, 27>& lf, net::NodeId src_,
-              net::GroupId g, net::PortId sp, rla::RlaReceiverOptions ro,
-              double mean, sim::SimTime rejoin)
+  ChurnDriver(sim::Simulator& s_, rla::RlaSession& sess,
+              const std::array<net::NodeId, 27>& lf, double mean,
+              sim::SimTime rejoin)
       : sim(s_),
-        net(n_),
-        sender(snd),
-        owned(own),
-        by_idx(idx),
+        session(sess),
         leaf(lf),
-        src(src_),
-        group(g),
-        sender_port(sp),
-        ropts(ro),
         mean_interval(mean),
         rejoin_after(rejoin),
         rng(s_.rng_stream("churn")),
@@ -85,8 +59,8 @@ struct ChurnDriver {
     if (idx >= 0) {
       // Leave: the sender stops waiting for this member; the old receiver
       // object is silenced so in-flight data stops generating stale ACKs.
-      sender.remove_receiver(idx);
-      by_idx[static_cast<std::size_t>(idx)]->set_silenced(true);
+      session.remove_receiver(idx);
+      session.receiver(idx).set_silenced(true);
       member[static_cast<std::size_t>(li)] = -1;
       ++leaves;
       sim.after(rejoin_after, [this, li] { rejoin(li); });
@@ -97,15 +71,8 @@ struct ChurnDriver {
   void rejoin(int li) {
     // Fresh late joiner on a fresh port (the departed incarnation keeps its
     // old port attached; reusing it would alias two agents).
-    const net::NodeId node = leaf[static_cast<std::size_t>(li)];
-    const net::PortId port = next_port++;
-    const int idx = sender.add_receiver(node, port);
-    rla::RlaReceiverOptions ro = ropts;
-    ro.resume_at_first_packet = true;
-    owned.push_back(std::make_unique<rla::RlaReceiver>(
-        net, node, port, group, src, sender_port, idx, ro));
-    by_idx.push_back(owned.back().get());
-    member[static_cast<std::size_t>(li)] = idx;
+    member[static_cast<std::size_t>(li)] = session.add_receiver(
+        leaf[static_cast<std::size_t>(li)], next_port++);
     ++joins;
   }
 };
@@ -133,9 +100,9 @@ std::string tree_case_name(TreeCase c) {
 }
 
 TreeResult run_tertiary_tree(const TreeConfig& cfg) {
-  sim::Simulator sim(cfg.seed);
-  if (cfg.instrument) cfg.instrument(sim);
-  net::Network net(sim);
+  Scenario scn(cfg.seed, cfg.instrument);
+  sim::Simulator& sim = scn.sim();
+  net::Network& net = scn.net();
 
   // --- nodes -----------------------------------------------------------------
   const net::NodeId s = net.add_node();
@@ -191,15 +158,12 @@ TreeResult run_tertiary_tree(const TreeConfig& cfg) {
     return l.level == 1 ? 27 : l.level == 2 ? 9 : l.level == 3 ? 3 : 1;
   };
 
-  const auto queue_kind = cfg.gateway == GatewayType::kRed
-                              ? net::QueueKind::kRed
-                              : net::QueueKind::kDropTail;
   net::LinkConfig base;
-  base.queue = queue_kind;
+  base.queue = cfg.gateway;
   base.buffer_pkts = cfg.buffer_pkts;
   base.red = cfg.red;
+  base.bandwidth_bps = kFastLinkBps;
 
-  double slowest_bps = kFastLinkBps;
   std::vector<net::Link*> bottleneck_links;
   for (const auto& lr : link_refs) {
     sim::SimTime hop_delay = lr.level == 4 ? kLeafDelay : kUpperDelay;
@@ -207,20 +171,15 @@ TreeResult run_tertiary_tree(const TreeConfig& cfg) {
       hop_delay *= 1.0 + cfg.leaf_delay_spread *
                              static_cast<double>(lr.index - 1) / 26.0;
     net::LinkConfig c = base.with_delay(hop_delay);
-    if (is_congested(lr)) {
-      // The paper's capacity rule: soft-bottleneck share = mu / (m + 1).
-      // §5.2 adds its second multicast session WITHOUT re-scaling links
-      // ("simulated the above scenarios with two overlapping sessions"),
-      // so the +1 stays +1 regardless of session count.
-      const double cap_pps =
-          cfg.share_pps * static_cast<double>(tcp_flows_through(lr) + 1);
-      c.bandwidth_bps = pps_to_bps(cap_pps);
-      slowest_bps = std::min(slowest_bps, c.bandwidth_bps);
-    } else {
-      c.bandwidth_bps = kFastLinkBps;
-    }
-    net.connect(lr.from, lr.to, c);
-    if (is_congested(lr)) bottleneck_links.push_back(net.link_between(lr.from, lr.to));
+    // The paper's capacity rule: soft-bottleneck share = mu / (m + 1).
+    // §5.2 adds its second multicast session WITHOUT re-scaling links
+    // ("simulated the above scenarios with two overlapping sessions"),
+    // so the +1 stays +1 regardless of session count.
+    if (is_congested(lr))
+      c.bandwidth_bps = pps_to_bps(
+          cfg.share_pps * static_cast<double>(tcp_flows_through(lr) + 1));
+    const auto d = net.connect(lr.from, lr.to, c);
+    if (is_congested(lr)) bottleneck_links.push_back(d.forward);
   }
 
   // Backup-parent provisioning (cfg.backup_paths): fast drop-tail duplexes
@@ -234,70 +193,36 @@ TreeResult run_tertiary_tree(const TreeConfig& cfg) {
   if (cfg.backup_paths) {
     net::LinkConfig bc = base.with_delay(kUpperDelay);
     bc.queue = net::QueueKind::kDropTail;
-    bc.bandwidth_bps = kFastLinkBps;
-    for (int j = 0; j < 3; ++j) {
-      const net::NodeId bp = g2[static_cast<std::size_t>((j + 1) % 3)];
-      auto d = net.connect(bp, g2[static_cast<std::size_t>(j)], bc);
+    auto add_backup = [&](net::NodeId child, net::NodeId primary,
+                          net::NodeId backup) {
+      const auto d = net.connect(backup, child, bc);
       d.forward->set_routing_enabled(false);
       d.reverse->set_routing_enabled(false);
-      backup_routes.push_back({g2[static_cast<std::size_t>(j)], g1, bp});
-    }
-    for (int i = 0; i < 9; ++i) {
-      const net::NodeId bp = g2[static_cast<std::size_t>((i / 3 + 1) % 3)];
-      auto d = net.connect(bp, g3[static_cast<std::size_t>(i)], bc);
-      d.forward->set_routing_enabled(false);
-      d.reverse->set_routing_enabled(false);
-      backup_routes.push_back(
-          {g3[static_cast<std::size_t>(i)], g2[static_cast<std::size_t>(i / 3)], bp});
-    }
+      backup_routes.push_back({child, primary, backup});
+    };
+    for (std::size_t j = 0; j < 3; ++j) add_backup(g2[j], g1, g2[(j + 1) % 3]);
+    for (std::size_t i = 0; i < 9; ++i)
+      add_backup(g3[i], g2[i / 3], g2[(i / 3 + 1) % 3]);
   }
-  net.build_routes();
-
-  // Competing flows must share one jitter bound (see the cross-referenced
-  // doc comments on RlaParams/TcpParams::max_send_overhead): the builder
-  // overrides both from the same `overhead`, and rejects configs that
-  // pre-set them unequally.
-  assert(cfg.rla.max_send_overhead == cfg.tcp.max_send_overhead &&
-         "RLA and TCP flows must share the same send-jitter bound");
-  const sim::SimTime overhead =
-      (cfg.gateway == GatewayType::kDropTail && cfg.phase_randomization)
-          ? static_cast<double>(net::kDataPacketBytes) * 8.0 / slowest_bps
-          : 0.0;
+  scn.build_routes(cfg.gateway, cfg.phase_randomization);
 
   // --- multicast sessions ------------------------------------------------------
-  std::vector<std::unique_ptr<rla::RlaSender>> rla_senders;
-  std::vector<std::unique_ptr<rla::RlaReceiver>> rla_receivers;
   for (int sess = 0; sess < cfg.multicast_sessions; ++sess) {
-    const net::GroupId group = 1 + sess;
-    const net::PortId sender_port = 1000 + sess;
-    rla::RlaParams rp = cfg.rla;
-    rp.max_send_overhead = overhead;
-    auto sender = std::make_unique<rla::RlaSender>(
-        net, s, sender_port, group, /*flow=*/1000 + sess, rp);
-    rla::RlaReceiverOptions ropts;
-    ropts.max_ack_overhead = overhead;
+    rla::RlaSession& session = scn.add_session(
+        s, /*group=*/1 + sess, /*port=*/1000 + sess, /*flow=*/1000 + sess,
+        cfg.rla);
     for (std::size_t i = 0; i < n_rcvrs; ++i) {
-      net.join_group(group, s, receivers[i]);
-      const net::PortId rport = 10 + sess;
-      const int idx = sender->add_receiver(receivers[i], rport);
+      const int idx = session.add_receiver(receivers[i], /*port=*/10 + sess);
       // Structural-degradation grouping: leaf i hangs off G3 gateway i/3,
       // gateway receiver i (>= 27) IS G3 gateway i-27.  No-op (and no
       // state) unless cfg.rla.degrade.
-      sender->set_subtree(idx, i < 27 ? static_cast<int>(i) / 3
-                                      : static_cast<int>(i) - 27);
-      rla_receivers.push_back(std::make_unique<rla::RlaReceiver>(
-          net, receivers[i], rport, group, s, sender_port, idx, ropts));
+      session.sender().set_subtree(idx, i < 27 ? static_cast<int>(i) / 3
+                                               : static_cast<int>(i) - 27);
     }
-    rla_senders.push_back(std::move(sender));
   }
+  rla::RlaSession& sess0 = *scn.sessions().front();
 
   // --- robustness layer: faults, churn, crash, watchdog -----------------------
-  // Session 0's census-index -> receiver map (positions track add_receiver
-  // order, which churn rejoins preserve).
-  std::vector<rla::RlaReceiver*> sess0_rcvr_by_idx;
-  for (std::size_t i = 0; i < n_rcvrs; ++i)
-    sess0_rcvr_by_idx.push_back(rla_receivers[i].get());
-
   fault::FaultPlan fault_plan;
   // Forward entries first, reverse entries after: a leaf_fault-only config
   // builds the exact stream set (and creation order) it always did.
@@ -311,22 +236,14 @@ TreeResult run_tertiary_tree(const TreeConfig& cfg) {
   // (crash) or primary uplink (partition); merged additively at arm().
   for (const auto& so : cfg.partitions) {
     assert((so.level == 2 || so.level == 3) && "SubtreeOutage.level is 2 or 3");
-    if (so.level == 3) {
-      assert(so.index >= 1 && so.index <= 9);
-      const net::NodeId root = g3[static_cast<std::size_t>(so.index - 1)];
-      if (so.router_crash)
-        fault_plan.fail_node(root, so.start, so.end);
-      else
-        fault_plan.partition(g2[static_cast<std::size_t>((so.index - 1) / 3)],
-                             root, so.start, so.end);
-    } else {
-      assert(so.index >= 1 && so.index <= 3);
-      const net::NodeId root = g2[static_cast<std::size_t>(so.index - 1)];
-      if (so.router_crash)
-        fault_plan.fail_node(root, so.start, so.end);
-      else
-        fault_plan.partition(g1, root, so.start, so.end);
-    }
+    const bool l3 = so.level == 3;
+    assert(so.index >= 1 && so.index <= (l3 ? 9 : 3));
+    const auto k = static_cast<std::size_t>(so.index - 1);
+    const net::NodeId root = l3 ? g3[k] : g2[k];
+    if (so.router_crash)
+      fault_plan.fail_node(root, so.start, so.end);
+    else
+      fault_plan.partition(l3 ? g2[k / 3] : g1, root, so.start, so.end);
   }
   if (!fault_plan.empty()) fault_plan.arm(net);
 
@@ -344,38 +261,37 @@ TreeResult run_tertiary_tree(const TreeConfig& cfg) {
   if (!cfg.adversaries.empty()) {
     for (const auto& [idx, model] : cfg.adversaries)
       adversary_plan.corrupt(idx, model);
-    adversary_plan.arm(sess0_rcvr_by_idx);
+    std::vector<rla::RlaReceiver*> members;
+    for (std::size_t i = 0; i < n_rcvrs; ++i)
+      members.push_back(&sess0.receiver(static_cast<int>(i)));
+    adversary_plan.arm(members);
   }
 
   std::unique_ptr<ChurnDriver> churn;
-  if (cfg.churn_mean_interval > 0.0) {
-    rla::RlaReceiverOptions churn_ropts;
-    churn_ropts.max_ack_overhead = overhead;
-    churn = std::make_unique<ChurnDriver>(
-        sim, net, *rla_senders.front(), rla_receivers, sess0_rcvr_by_idx,
-        leaf, s, /*group=*/1, /*sender_port=*/1000, churn_ropts,
-        cfg.churn_mean_interval, cfg.churn_rejoin_after);
-  }
+  if (cfg.churn_mean_interval > 0.0)
+    churn = std::make_unique<ChurnDriver>(sim, sess0, leaf,
+                                          cfg.churn_mean_interval,
+                                          cfg.churn_rejoin_after);
 
   if (cfg.silent_receiver >= 0 &&
       static_cast<std::size_t>(cfg.silent_receiver) < n_rcvrs) {
-    sim.at(cfg.silent_at, [&sess0_rcvr_by_idx, &cfg] {
-      sess0_rcvr_by_idx[static_cast<std::size_t>(cfg.silent_receiver)]
-          ->set_silenced(true);
+    sim.at(cfg.silent_at, [&sess0, &cfg] {
+      sess0.receiver(cfg.silent_receiver).set_silenced(true);
     });
   }
 
   std::unique_ptr<sim::Watchdog> watchdog;
   if (cfg.watchdog) {
     watchdog = std::make_unique<sim::Watchdog>(sim, 1.0);
-    watchdog->add_check("rla-invariants", [&rla_senders]() -> std::string {
-      for (const auto& m : rla_senders) {
-        if (!(m->cwnd() >= 1.0) || m->cwnd() > m->params().max_cwnd)
-          return "cwnd out of bounds: " + std::to_string(m->cwnd());
-        if (m->max_reach_all() > m->next_seq())
+    watchdog->add_check("rla-invariants", [&scn]() -> std::string {
+      for (const auto& session : scn.sessions()) {
+        const rla::RlaSender& m = session->sender();
+        if (!(m.cwnd() >= 1.0) || m.cwnd() > m.params().max_cwnd)
+          return "cwnd out of bounds: " + std::to_string(m.cwnd());
+        if (m.max_reach_all() > m.next_seq())
           return "reach-all frontier beyond send frontier";
-        if (m->num_trouble_rcvr() < 0 ||
-            m->num_trouble_rcvr() > m->active_receivers())
+        if (m.num_trouble_rcvr() < 0 ||
+            m.num_trouble_rcvr() > m.active_receivers())
           return "troubled census exceeds active membership";
       }
       return "";
@@ -387,87 +303,57 @@ TreeResult run_tertiary_tree(const TreeConfig& cfg) {
   // kFtp (default) and kOnOff build the paper's infinite FTP connections;
   // kWeb replaces them with WebFlowSources; kOnOff additionally lays one
   // OnOffSource of datagram cross-traffic over every leaf.
-  std::vector<std::unique_ptr<tcp::TcpSender>> tcp_senders;
-  std::vector<std::unique_ptr<tcp::TcpReceiver>> tcp_receivers;
-  std::vector<std::unique_ptr<workload::WebFlowSource>> web_sources;
-  std::vector<std::unique_ptr<workload::OnOffSource>> onoff_sources;
-  std::vector<std::unique_ptr<workload::PacketSink>> onoff_sinks;
-  if (cfg.traffic.kind == workload::TrafficKind::kWeb) {
-    for (std::size_t i = 0; i < leaf.size(); ++i) {
+  for (std::size_t i = 0; i < leaf.size(); ++i) {
+    if (cfg.traffic.kind == workload::TrafficKind::kWeb) {
       workload::WebConfig wc = cfg.traffic.web;
       wc.tcp = cfg.tcp;  // one source of TCP truth per run: TreeConfig::tcp
-      wc.tcp.max_send_overhead = overhead;
-      const auto block = static_cast<net::PortId>(30000 + 1000 * i);
-      web_sources.push_back(std::make_unique<workload::WebFlowSource>(
-          net, s, leaf[i], block, block,
-          static_cast<net::FlowId>(2000 + 1000 * i),
-          "workload-web-" + std::to_string(i), wc));
-    }
-  } else {
-    for (std::size_t i = 0; i < leaf.size(); ++i) {
-      const net::PortId port = 100 + static_cast<net::PortId>(i);
-      tcp::TcpParams tp = cfg.tcp;
-      tp.max_send_overhead = overhead;
-      tcp_receivers.push_back(std::make_unique<tcp::TcpReceiver>(
-          net, leaf[i], port, overhead));
-      tcp_senders.push_back(std::make_unique<tcp::TcpSender>(
-          net, s, port, leaf[i], port, static_cast<net::FlowId>(i + 1), tp));
+      scn.add_web(s, leaf[i], static_cast<net::PortId>(30000 + 1000 * i),
+                  static_cast<net::FlowId>(2000 + 1000 * i),
+                  "workload-web-" + std::to_string(i), wc);
+    } else {
+      scn.add_tcp(s, leaf[i], static_cast<net::PortId>(100 + i),
+                  static_cast<net::FlowId>(i + 1), cfg.tcp);
     }
   }
   if (cfg.traffic.kind == workload::TrafficKind::kOnOff) {
-    for (std::size_t i = 0; i < leaf.size(); ++i) {
-      const auto port = static_cast<net::PortId>(40000 + i);
-      onoff_sinks.push_back(
-          std::make_unique<workload::PacketSink>(net, leaf[i], port));
-      onoff_sources.push_back(std::make_unique<workload::OnOffSource>(
-          net, s, port, leaf[i], port, static_cast<net::FlowId>(5000 + i),
-          "workload-onoff-" + std::to_string(i), cfg.traffic.onoff));
-    }
+    for (std::size_t i = 0; i < leaf.size(); ++i)
+      scn.add_onoff(s, leaf[i], static_cast<net::PortId>(40000 + i),
+                    static_cast<net::FlowId>(5000 + i),
+                    "workload-onoff-" + std::to_string(i), cfg.traffic.onoff);
   }
 
   // --- fairness telemetry (inert unless cfg.fairness.window > 0) --------------
   stats::FairnessMonitor fmon(sim, cfg.fairness);
   if (fmon.enabled()) {
-    rla::RlaSender* sess0 = rla_senders.front().get();
+    rla::RlaSender* rla0 = &sess0.sender();
     fmon.add_probe(
         {"rla0",
-         [sess0] { return static_cast<double>(sess0->measurement().total_acked()); },
+         [rla0] { return static_cast<double>(rla0->measurement().total_acked()); },
          [] { return false; }});  // infinite multicast source
-    for (std::size_t i = 0; i < tcp_senders.size(); ++i) {
-      tcp::TcpSender* t = tcp_senders[i].get();
+    for (std::size_t i = 0; i < scn.tcp_senders().size(); ++i) {
+      tcp::TcpSender* t = scn.tcp_senders()[i].get();
       fmon.add_probe(
           {"tcp-" + std::to_string(i),
            [t] { return static_cast<double>(t->measurement().total_acked()); },
            [t] { return t->app_limited(); }});
     }
-    for (std::size_t i = 0; i < web_sources.size(); ++i) {
-      workload::WebFlowSource* w = web_sources[i].get();
+    for (std::size_t i = 0; i < scn.web_sources().size(); ++i) {
+      workload::WebFlowSource* w = scn.web_sources()[i].get();
       fmon.add_probe({"web-" + std::to_string(i),
                       [w] { return static_cast<double>(w->delivered_total()); },
                       [w] { return w->poll_app_limited(); }});
     }
   }
 
-  auto starts = sim.rng_stream("start-jitter");
-  for (auto& t : tcp_senders) t->start_at(starts.uniform(0.0, 1.0));
-  for (auto& w : web_sources) w->start_at(starts.uniform(0.0, 1.0));
-  for (auto& o : onoff_sources) o->start_at(starts.uniform(0.0, 1.0));
-  for (auto& m : rla_senders) m->start_at(starts.uniform(0.0, 1.0));
-
+  scn.start(cfg.warmup);
   TreeResult res;
-  std::vector<std::int64_t> web_delivered_at_warmup(web_sources.size(), 0);
-  sim.at(cfg.warmup, [&] {
-    for (auto& m : rla_senders) m->measurement().begin_measurement(sim.now());
-    for (auto& t : tcp_senders) t->measurement().begin_measurement(sim.now());
-    for (std::size_t i = 0; i < web_sources.size(); ++i)
-      web_delivered_at_warmup[i] = web_sources[i]->delivered_total();
-  });
   std::unique_ptr<sim::Timer> sampler;
   if (cfg.window_sample_period > 0.0) {
     sampler = std::make_unique<sim::Timer>(sim, [&] {
       std::vector<double> row;
-      row.reserve(rla_senders.size());
-      for (auto& m : rla_senders) row.push_back(m->cwnd());
+      row.reserve(scn.sessions().size());
+      for (const auto& session : scn.sessions())
+        row.push_back(session->sender().cwnd());
       res.window_samples.push_back(std::move(row));
       if (sim.now() + cfg.window_sample_period <= cfg.duration)
         sampler->schedule(cfg.window_sample_period);
@@ -477,51 +363,25 @@ TreeResult run_tertiary_tree(const TreeConfig& cfg) {
   sim.run_until(cfg.duration);
 
   // --- results -------------------------------------------------------------
-  for (auto& m : rla_senders) res.rla.push_back(make_row(m->measurement(), cfg.duration));
-  for (auto& t : tcp_senders) {
-    res.tcps.push_back(make_row(t->measurement(), cfg.duration));
-    res.tcp_signals.push_back(t->measurement().congestion_signals());
+  for (const auto& session : scn.sessions())
+    res.rla.push_back(make_row(session->sender().measurement(), cfg.duration));
+  // kWeb: one aggregate row per leaf "user", so worst_tcp()/best_tcp() and
+  // the figure plumbing keep working.
+  res.tcps = scn.background_rows(cfg.duration);
+  for (const FlowRow& row : res.tcps) res.tcp_signals.push_back(row.cong_signals);
+  for (const auto& w : scn.web_sources()) {
+    res.web_flows_started += w->flows_started();
+    res.web_flows_completed += w->flows_completed();
+    res.workload_fingerprint ^= w->schedule_fingerprint();
   }
-  // kWeb: synthesize one aggregate row per leaf "user" so worst_tcp()/
-  // best_tcp() and the figure plumbing keep working. Throughput is the
-  // post-warmup delivered rate; the counters sum over every fetch.
-  const double measured_span = cfg.duration - cfg.warmup;
-  for (std::size_t i = 0; i < web_sources.size(); ++i) {
-    const workload::WebFlowSource& w = *web_sources[i];
-    FlowRow row;
-    row.throughput_pps =
-        measured_span > 0.0
-            ? static_cast<double>(w.delivered_total() -
-                                  web_delivered_at_warmup[i]) /
-                  measured_span
-            : 0.0;
-    double rtt_sum = 0.0;
-    int rtt_n = 0;
-    for (const auto& snd : w.senders()) {
-      const stats::FlowMeasurement& m = snd->measurement();
-      row.cong_signals += m.congestion_signals();
-      row.window_cuts += m.window_cuts();
-      row.forced_cuts += m.forced_cuts();
-      row.timeouts += m.timeouts();
-      if (m.avg_rtt() > 0.0) {
-        rtt_sum += m.avg_rtt();
-        ++rtt_n;
-      }
-    }
-    row.avg_rtt = rtt_n > 0 ? rtt_sum / rtt_n : 0.0;
-    res.tcps.push_back(row);
-    res.tcp_signals.push_back(row.cong_signals);
-    res.web_flows_started += w.flows_started();
-    res.web_flows_completed += w.flows_completed();
-    res.workload_fingerprint ^= w.schedule_fingerprint();
-  }
-  for (const auto& o : onoff_sources) res.onoff_packets_sent += o->packets_sent();
-  for (const auto& sk : onoff_sinks)
+  for (const auto& o : scn.onoff_sources())
+    res.onoff_packets_sent += o->packets_sent();
+  for (const auto& sk : scn.onoff_sinks())
     res.onoff_packets_received += sk->packets_received();
   res.fairness_samples = fmon.samples();
   res.min_jain = fmon.min_jain();
   res.mean_jain = fmon.mean_jain();
-  auto& first = *rla_senders.front();
+  const rla::RlaSender& first = sess0.sender();
   for (std::size_t i = 0; i < n_rcvrs; ++i)
     res.rla_signals_per_receiver.push_back(
         first.signals_from(static_cast<int>(i)));

@@ -24,13 +24,8 @@
 #include "sim/time.hpp"
 #include "stats/fairness_monitor.hpp"
 #include "tcp/tcp_sender.hpp"
-#include "topo/flat_tree.hpp"  // GatewayType
-#include "topo/flow_rows.hpp"
+#include "topo/scenario.hpp"  // FlowRow, GatewayType
 #include "workload/workload.hpp"
-
-namespace rlacast::sim {
-class Simulator;
-}
 
 namespace rlacast::topo {
 
@@ -134,14 +129,13 @@ struct TreeConfig {
   /// run is byte-identical either way).
   std::function<void(sim::Simulator&)> instrument;
 
-  // --- workload layer (src/workload/, ISSUE 6) -----------------------------
+  // --- workload layer (src/workload/: web users, on/off cross-traffic) -----
   /// Background-traffic mix. kFtp (the default) builds the paper's 27
-  /// infinite FTP senders exactly as before — no new streams, timers or
-  /// draws, byte-identical to the seed. kWeb replaces them with one
-  /// WebFlowSource per leaf (think / heavy-tailed fetch / think); kOnOff
-  /// keeps the FTPs and adds one OnOffSource of datagram cross-traffic per
-  /// leaf. The schedule sub-config also selects the start-time layout for
-  /// whatever senders run.
+  /// infinite FTP senders — no workload streams, timers or draws. kWeb
+  /// replaces them with one WebFlowSource per leaf (think / heavy-tailed
+  /// fetch / think); kOnOff keeps the FTPs and adds one OnOffSource of
+  /// datagram cross-traffic per leaf. Every sender starts within the first
+  /// second (topo::Scenario::start).
   workload::TrafficSpec traffic{};
   /// Sliding-window Jain-index telemetry over {RLA session 0 + background
   /// flows}. window == 0 (default) keeps the monitor inert.

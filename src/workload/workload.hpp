@@ -1,4 +1,4 @@
-// src/workload/ — deterministic traffic generation (ISSUE 6 tentpole).
+// src/workload/ — deterministic background-traffic generation.
 //
 // The paper's experiments run infinite FTP sources: every TCP always has
 // data, so the fairness bands are measured under the easiest possible

@@ -2,12 +2,11 @@
 // RLA treating marks as loss-free congestion signals.
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <vector>
 
 #include "net/network.hpp"
 #include "net/red.hpp"
-#include "rla/rla_receiver.hpp"
-#include "rla/rla_sender.hpp"
+#include "rla/rla_session.hpp"
 #include "sim/simulator.hpp"
 #include "tcp/tcp_receiver.hpp"
 #include "tcp/tcp_sender.hpp"
@@ -136,14 +135,9 @@ TEST(RlaEcn, MarksActAsCongestionSignals) {
 
   rla::RlaParams p;
   p.ecn = true;
-  rla::RlaSender snd(net, s, 1, 1, 99, p);
-  std::vector<std::unique_ptr<rla::RlaReceiver>> rcvrs;
-  for (int i = 0; i < 3; ++i) {
-    net.join_group(1, s, leaves[size_t(i)]);
-    const int idx = snd.add_receiver(leaves[size_t(i)], 1);
-    rcvrs.push_back(std::make_unique<rla::RlaReceiver>(net, leaves[size_t(i)],
-                                                       1, 1, s, 1, idx));
-  }
+  rla::RlaSession session(net, s, /*group=*/1, /*port=*/1, /*flow=*/99, p);
+  for (const auto leaf : leaves) session.add_receiver(leaf, /*port=*/1);
+  rla::RlaSender& snd = session.sender();
   snd.start_at(0.0);
   sim.at(20.0, [&] { snd.measurement().begin_measurement(sim.now()); });
   sim.run_until(120.0);

@@ -38,8 +38,9 @@ TEST(RlaSession, WiresCompleteSession) {
   StarNet star(4);
   rla::RlaParams p;
   p.max_cwnd = 128;
-  rla::RlaSession session(star.net, star.s, /*group=*/1, p);
-  for (const auto leaf : star.leaves) session.add_receiver(leaf);
+  rla::RlaSession session(star.net, star.s, /*group=*/1, /*port=*/9001,
+                          /*flow=*/9001, p);
+  for (const auto leaf : star.leaves) session.add_receiver(leaf, 9001);
   EXPECT_EQ(session.receiver_count(), 4u);
   session.start_at(0.0);
   star.sim.run_until(2.0);
@@ -50,11 +51,12 @@ TEST(RlaSession, WiresCompleteSession) {
 
 TEST(RlaSession, TwoSessionsCoexistOnSharedNodes) {
   StarNet star(3, 400.0);
-  rla::RlaSession a(star.net, star.s, 1);
-  rla::RlaSession b(star.net, star.s, 2);
+  // Distinct ports (shared nodes) and flows (distinct RNG streams).
+  rla::RlaSession a(star.net, star.s, 1, /*port=*/9001, /*flow=*/9001);
+  rla::RlaSession b(star.net, star.s, 2, /*port=*/9002, /*flow=*/9002);
   for (const auto leaf : star.leaves) {
-    a.add_receiver(leaf);
-    b.add_receiver(leaf);
+    a.add_receiver(leaf, 9001);
+    b.add_receiver(leaf, 9002);
   }
   a.start_at(0.0);
   b.start_at(0.2);
@@ -72,16 +74,16 @@ TEST(RlaSession, TwoSessionsCoexistOnSharedNodes) {
 
 TEST(RlaSession, LateJoinerResumesMidStream) {
   StarNet star(3, 400.0);
-  rla::RlaSession session(star.net, star.s, 1);
-  session.add_receiver(star.leaves[0]);
-  session.add_receiver(star.leaves[1]);
+  rla::RlaSession session(star.net, star.s, 1, 9001, 9001);
+  session.add_receiver(star.leaves[0], 9001);
+  session.add_receiver(star.leaves[1], 9001);
   session.start_at(0.0);
   star.sim.run_until(10.0);
   const net::SeqNum frontier = session.sender().next_seq();
   ASSERT_GT(frontier, 500);
 
   // Third receiver joins mid-session.
-  const int idx = session.add_receiver(star.leaves[2]);
+  const int idx = session.add_receiver(star.leaves[2], 9001);
   star.sim.run_until(20.0);
 
   // The session kept moving (the joiner did not stall it waiting for
@@ -90,6 +92,35 @@ TEST(RlaSession, LateJoinerResumesMidStream) {
   // ...and the joiner is receiving the live stream from its join point.
   EXPECT_GT(session.receiver(idx).data_packets_received(), 100u);
   EXPECT_GE(session.receiver(idx).buffer().cum_ack(), frontier);
+}
+
+TEST(RlaSession, RejoinOnFreshPortResumesAndCountsActive) {
+  StarNet star(2, 400.0);
+  rla::RlaSession session(star.net, star.s, 1, 9001, 9001);
+  session.add_receiver(star.leaves[0], 9001);
+  const int left = session.add_receiver(star.leaves[1], 9001);
+  session.start_at(0.0);
+  star.sim.run_until(10.0);
+
+  // Leave, as the tertiary tree's churn does: the sender stops waiting for
+  // the member and its agent falls silent, still attached to its port.
+  session.remove_receiver(left);
+  session.receiver(left).set_silenced(true);
+  EXPECT_EQ(session.sender().active_receivers(), 1);
+  star.sim.run_until(15.0);
+  const net::SeqNum frontier = session.sender().next_seq();
+
+  // Rejoin at the same node on a fresh port (the old one is still taken).
+  const int back = session.add_receiver(star.leaves[1], 9002);
+  EXPECT_NE(back, left);
+  EXPECT_EQ(session.sender().active_receivers(), 2);
+  star.sim.run_until(25.0);
+
+  // The rejoiner resumes mid-stream and paces the session again.
+  EXPECT_GT(session.receiver(back).data_packets_received(), 100u);
+  EXPECT_GE(session.receiver(back).buffer().cum_ack(), frontier);
+  EXPECT_GT(session.sender().max_reach_all(), frontier + 100);
+  EXPECT_EQ(session.sender().active_receivers(), 2);
 }
 
 TEST(RlaSession, LeaverStopsGatingTheWindow) {
@@ -115,8 +146,8 @@ TEST(RlaSession, LeaverStopsGatingTheWindow) {
   net.build_routes();
   rla::RlaParams params;
   params.max_cwnd = 256;
-  rla::RlaSession session(net, s, 1, params);
-  for (const auto leaf : leaves) session.add_receiver(leaf);
+  rla::RlaSession session(net, s, 1, 9001, 9001, params);
+  for (const auto leaf : leaves) session.add_receiver(leaf, 9001);
   session.start_at(0.0);
   sim.run_until(30.0);
   const double paced_rate =
