@@ -1,6 +1,6 @@
 // Scale benchmark: the Theorem I/II bands beyond the paper's 27 receivers,
 // and the sender-memory / census-cost headlines of the sublinear receiver
-// state refactor (ISSUE 9 tentpole).
+// state refactor.
 //
 // Phase 1 — full simulations on topo::run_big_tree (collapsed group leaves,
 // one sender census entry and ACK stream per member) sweeping

@@ -1,5 +1,5 @@
 // Workload benchmark: bounded fairness under realistic traffic mixes and
-// against modern competitor senders (ISSUE 6 tentpole).
+// against modern competitor senders (the workload-generation subsystem).
 //
 // On the Figure-6 tertiary tree (L1 bottleneck, drop-tail AND RED), the RLA
 // multicast session runs against background traffic in a 3x3 sweep:

@@ -122,7 +122,7 @@ int RlaSender::add_receiver(net::NodeId node, net::PortId port) {
   // Late join: the newcomer's sequence space starts at the send frontier —
   // it is not owed data transmitted before it existed, and it must not drag
   // max_reach_all below the already-acknowledged prefix. (Beyond 64
-  // receivers, per-packet RTT coverage masks saturate and mark_covered
+  // receivers, per-packet RTT coverage masks saturate and SendWindow::cover
   // skips the extra indices; everything else scales.)
   const int idx = table_.add(node, port, next_seq_, sim_.now());
   const int census_idx = census_.add_receiver();
@@ -200,15 +200,24 @@ double RlaSender::pthresh_for(int rcvr) const {
 
 std::size_t RlaSender::state_bytes() const {
   return sizeof(*this) + table_.state_bytes() + census_.state_bytes() +
-         send_info_.size() *
-             (sizeof(net::SeqNum) + sizeof(SendInfo) + 4 * sizeof(void*));
+         window_.state_bytes();
 }
 
 std::size_t RlaSender::baseline_state_bytes() const {
   // The pre-table layout: one heap ReceiverState per receiver — scoreboard,
   // RTT estimator, signal grouper, endpoint/liveness fields — with a map
   // node per outstanding packet in EVERY receiver's scoreboard (a healthy
-  // receiver tracked the full window too).
+  // receiver tracked the full window too) — plus a map node per packet sent
+  // around a 48-byte send record (each of its three flags padded to 8
+  // bytes).
+  struct LegacySendInfo {
+    sim::SimTime first_sent;
+    bool ever_rexmitted;
+    sim::SimTime last_rexmit;
+    bool rexmitted_for_all;
+    std::uint64_t acked_mask;
+    bool rtt_sampled;
+  };
   const std::size_t per_node =
       sizeof(net::SeqNum) + 3 * sizeof(bool) + 4 * sizeof(void*);
   std::size_t b = 0;
@@ -222,8 +231,8 @@ std::size_t RlaSender::baseline_state_bytes() const {
              std::max<net::SeqNum>(0, table_.high(idx) - table_.una(idx))) *
          per_node;
   }
-  b += send_info_.size() *
-       (sizeof(net::SeqNum) + sizeof(SendInfo) + 4 * sizeof(void*));
+  b += window_.size() *
+       (sizeof(net::SeqNum) + sizeof(LegacySendInfo) + 4 * sizeof(void*));
   return b;
 }
 
@@ -257,9 +266,9 @@ cc::Scoreboard& RlaSender::ensure_board(int idx) {
   // Replay the repairs that were multicast to everybody while this receiver
   // was compact; per-receiver (unicast) repairs always materialized the
   // target at repair time, so the global flags are the complete set.
-  for (auto it = send_info_.lower_bound(sb.una()); it != send_info_.end();
-       ++it)
-    if (it->second.rexmitted_for_all) sb.on_retransmit(it->first);
+  window_.for_each_from(sb.una(), [&sb](net::SeqNum seq, const SendInfo& info) {
+    if (info.rexmitted_for_all) sb.on_retransmit(seq);
+  });
   return sb;
 }
 
@@ -274,8 +283,8 @@ void RlaSender::on_ack(const net::Packet& ack, int idx) {
   // a multicast retransmission poisons the echo for every receiver, so the
   // global ever_rexmitted flag is the correct guard).
   if (ack.seq != net::kNoSeq && ack.ts_echo > 0.0) {
-    const auto it = send_info_.find(ack.seq);
-    const bool clean = it == send_info_.end() || !it->second.ever_rexmitted;
+    const SendInfo* info = window_.find(ack.seq);
+    const bool clean = info == nullptr || !info->ever_rexmitted;
     if (clean && !table_.was_retransmitted(idx, ack.seq)) {
       // A reservoir rebuild can admit a member after its add; promote it on
       // its next RTT sample so the census mirrors its own estimate.
@@ -305,7 +314,13 @@ void RlaSender::on_ack(const net::Packet& ack, int idx) {
     exclude({idx}, Exit::kQuarantine);
     return;
   }
-  mark_covered(ack, idx);
+  // The per-packet RLA RTT — time until the LAST receiver's ACK, the
+  // quantity eq. (5) bounds — is sampled the moment coverage completes, so
+  // head-of-line repairs of *other* packets do not inflate it.
+  window_.cover(idx, ack.ack, ack.sack.data(), ack.n_sack, census_,
+                sim_.now(), [this](net::SeqNum, double rtt) {
+                  meas_.note_rtt(sim_.now(), rtt);
+                });
   const int new_losses = table_.detect_losses(idx, kDupThresh);
 
   // Rule 2: a new congestion period only starts beyond 2*srtt_i of the last
@@ -326,9 +341,9 @@ void RlaSender::on_ack(const net::Packet& ack, int idx) {
     const net::SeqNum hol = table_.first_missing(idx);
     if (hol < table_.high(idx) && table_.is_lost(idx, hol) &&
         table_.was_retransmitted(idx, hol)) {
-      const auto it = send_info_.find(hol);
-      if (it != send_info_.end() &&
-          sim_.now() - it->second.last_rexmit > table_.rtt(idx).rto())
+      const SendInfo* info = window_.find(hol);
+      if (info != nullptr &&
+          sim_.now() - info->last_rexmit > table_.rtt(idx).rto())
         table_.board(idx).clear_retransmitted(hol);
     }
   }
@@ -382,42 +397,6 @@ void RlaSender::handle_congestion_signal(int idx) {
   }
 }
 
-std::uint64_t RlaSender::active_mask() const {
-  std::uint64_t m = 0;
-  for (std::size_t i = 0; i < table_.size() && i < 64; ++i)
-    if (!census_.excluded(static_cast<int>(i))) m |= 1ULL << i;
-  return m;
-}
-
-void RlaSender::mark_one(net::SeqNum seq, SendInfo& info, std::uint64_t bit) {
-  if (info.rtt_sampled) return;
-  info.acked_mask |= bit;
-  const std::uint64_t need = active_mask();
-  if ((info.acked_mask & need) == need) {
-    info.rtt_sampled = true;
-    if (!info.ever_rexmitted)
-      meas_.note_rtt(sim_.now(), sim_.now() - info.first_sent);
-  }
-  (void)seq;
-}
-
-void RlaSender::mark_covered(const net::Packet& ack, int idx) {
-  if (idx >= 64) return;  // RTT sampling supports the paper-scale sessions
-  const std::uint64_t bit = 1ULL << idx;
-  // Cumulative region: send_info_ only holds seqs >= max_reach_all_, so the
-  // walk below touches the not-yet-reached window prefix only.
-  for (auto it = send_info_.begin();
-       it != send_info_.end() && it->first < ack.ack; ++it)
-    mark_one(it->first, it->second, bit);
-  for (int b = 0; b < ack.n_sack; ++b) {
-    auto it = send_info_.lower_bound(ack.sack[static_cast<std::size_t>(b)].lo);
-    for (; it != send_info_.end() &&
-           it->first < ack.sack[static_cast<std::size_t>(b)].hi;
-         ++it)
-      mark_one(it->first, it->second, bit);
-  }
-}
-
 void RlaSender::advance_reach_all() {
   const net::SeqNum reach = table_.min_first_missing(census_, next_seq_);
   if (reach <= max_reach_all_) return;
@@ -429,10 +408,10 @@ void RlaSender::advance_reach_all() {
   awnd_ += kAwndGain * (win_.cwnd() - awnd_);
   meas_.note_acked(m);
 
-  // RTT sampling happens in mark_one() the instant the last receiver's ACK
-  // covers a packet; here the bookkeeping below the new reach point is
-  // simply discarded.
-  send_info_.erase(send_info_.begin(), send_info_.lower_bound(reach));
+  // RTT sampling happens in window_.cover() the instant the last
+  // receiver's ACK covers a packet; here the bookkeeping below the new reach
+  // point is simply discarded.
+  window_.drop_below(reach);
   max_reach_all_ = reach;
   last_frontier_progress_ = sim_.now();
   acks_since_progress_ = 0;
@@ -453,8 +432,8 @@ void RlaSender::check_frontier_watchdog() {
   // The frontier is pinned while ACKs keep flowing.  Blame receivers only
   // once the blocking packet has actually been repaired at least once — an
   // unrepaired hole is the retransmit path's business, not a liveness hole.
-  const auto it = send_info_.find(max_reach_all_);
-  if (it == send_info_.end() || !it->second.ever_rexmitted) return;
+  const SendInfo* blocking = window_.find(max_reach_all_);
+  if (blocking == nullptr || !blocking->ever_rexmitted) return;
 
   std::vector<int> pinners;
   int active = 0;
@@ -475,7 +454,9 @@ void RlaSender::check_frontier_watchdog() {
 
 void RlaSender::maybe_retransmit(net::SeqNum seq, int requester_idx,
                                  bool urgent) {
-  auto& info = send_info_[seq];
+  // After a subtree graduates, `seq` may sit below max_reach_all_: the
+  // window then holds a record there (see SendWindow).
+  SendInfo& info = window_.at(seq);
   // Rate-limit repairs of the same packet: one per max-srtt unless urgent.
   const double guard = std::max(census_.srtt_max(), 1e-3);
   if (!urgent && sim_.now() - info.last_rexmit < guard) {
@@ -598,7 +579,7 @@ void RlaSender::send_data_packet(net::SeqNum seq, bool rexmit,
     // of excluded receivers stay frozen (they must not keep accumulating
     // outstanding-packet state for the rest of the session).
     table_.on_send(seq, census_);
-    send_info_[seq] = SendInfo{sim_.now(), false, -1e18};
+    window_.on_send(seq, sim_.now());
   }
 
   pacer_.send(p);
@@ -647,7 +628,7 @@ void RlaSender::on_timeout() {
   meas_.note_window_cut();
 
   const net::SeqNum blocking = max_reach_all_;
-  auto& info = send_info_[blocking];
+  SendInfo& info = window_.at(blocking);
   info.last_rexmit = sim_.now();
   info.ever_rexmitted = true;
   info.rexmitted_for_all = true;

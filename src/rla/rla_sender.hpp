@@ -31,6 +31,15 @@
 // consults per signal (srtt_max, num_trouble_rcvr) come from the census's
 // cached SoA mirrors instead of O(N) rescans.
 //
+// Per-packet state lives in rla::SendWindow: one 32-byte record per packet
+// from max_reach_all to the send frontier, on a ring indexed by sequence
+// number (absent slots below the frontier after a subtree graduates).  Each
+// member's cumulative ACK walks only what it newly covers — a per-member
+// cursor, reset on every membership change and lowered when a record is
+// created beneath it — so an ACK no longer pays for the whole window while
+// one lossy member pins the frontier.  The per-packet RLA RTT still samples
+// only members 0..63 (64-bit coverage masks).
+//
 // Retransmissions go by multicast when more than rexmit_thresh receivers
 // miss the packet, else by unicast to each requester.
 #pragma once
@@ -49,6 +58,7 @@
 #include "replay/snapshot.hpp"
 #include "rla/receiver_table.hpp"
 #include "rla/rla_params.hpp"
+#include "rla/send_window.hpp"
 #include "sim/simulator.hpp"
 #include "stats/flow_measurement.hpp"
 
@@ -148,30 +158,7 @@ class RlaSender final : public net::Agent, public replay::Snapshotable {
   replay::Snapshot snapshot_state() const override;
 
  private:
-  /// Bookkeeping for every packet at or above max_reach_all.
-  struct SendInfo {
-    sim::SimTime first_sent = 0.0;
-    bool ever_rexmitted = false;
-    sim::SimTime last_rexmit = -1e18;
-    /// Set when the packet was retransmitted to EVERYBODY (multicast repair
-    /// or timeout).  Compact receivers don't carry per-packet rexmit flags;
-    /// materialization replays this onto the fresh scoreboard so Karn's
-    /// rule and the repair rate-limit see the same marks the historical
-    /// per-receiver boards held.
-    bool rexmitted_for_all = false;
-    /// Bit i set once receiver i has acknowledged the packet (cumulatively
-    /// or selectively). The per-packet RLA RTT — time until the LAST
-    /// receiver's ACK, the quantity eq. (5) bounds — is sampled the moment
-    /// coverage completes, so head-of-line repairs of *other* packets do
-    /// not inflate it. Bounds the session to 64 receivers (paper scale: 36).
-    std::uint64_t acked_mask = 0;
-    bool rtt_sampled = false;
-  };
-
   void on_ack(const net::Packet& ack, int idx);
-  void mark_covered(const net::Packet& ack, int idx);
-  void mark_one(net::SeqNum seq, SendInfo& info, std::uint64_t bit);
-  std::uint64_t active_mask() const;
   void handle_congestion_signal(int idx);
   void advance_reach_all();
   void maybe_retransmit(net::SeqNum seq, int requester_idx, bool urgent);
@@ -244,7 +231,9 @@ class RlaSender final : public net::Agent, public replay::Snapshotable {
   net::SeqNum timeout_blocking_ = -1;  // stall point at the last timeout
   bool started_ = false;
 
-  std::map<net::SeqNum, SendInfo> send_info_;
+  /// Per-packet records from max_reach_all to the send frontier, and the
+  /// coverage walk that samples the per-packet RLA RTT.
+  SendWindow window_;
 
   // Frontier watchdog (see RlaParams::frontier_watchdog).
   sim::SimTime last_frontier_progress_ = 0.0;

@@ -1,6 +1,7 @@
 // Ring<T>: a growable FIFO ring owned by the component whose pipeline its
 // elements are traversing — a Link's in-flight window, a SendPacer's pending
-// departures, a queue's backlog, a SACK scoreboard's per-packet flags.
+// departures, a queue's backlog, a SACK scoreboard's per-packet flags, the
+// RLA sender's per-packet send records.
 //
 // The point is allocation behaviour: scheduled events reference the owning
 // component (`this`) and pop from its ring, instead of capturing ~150-byte
@@ -42,6 +43,14 @@ class Ring {
   void push_back(T v) {
     if (count_ == buf_.size()) grow();
     buf_[(head_ + count_) & (buf_.size() - 1)] = std::move(v);
+    ++count_;
+  }
+
+  /// Inserts `v` ahead of the oldest element (it becomes the new front).
+  void push_front(T v) {
+    if (count_ == buf_.size()) grow();
+    head_ = (head_ + buf_.size() - 1) & (buf_.size() - 1);
+    buf_[head_] = std::move(v);
     ++count_;
   }
 

@@ -13,6 +13,7 @@
 #include <new>
 
 #include "net/network.hpp"
+#include "rla/rla_session.hpp"
 #include "sim/simulator.hpp"
 #include "tcp/tcp_receiver.hpp"
 #include "tcp/tcp_sender.hpp"
@@ -177,6 +178,48 @@ TEST(EngineAlloc, SteadyStateTcpAckPathAllocatesNothing) {
   EXPECT_EQ(g_news - before, 0u)
       << "TCP send/ACK loop hit the heap over " << received << " packets";
   EXPECT_GT(received, 10000u);
+}
+
+TEST(EngineAlloc, SteadyStateRlaAckPathAllocatesNothing) {
+  sim::Simulator sim{1};
+  net::Network net{sim};
+  const net::NodeId s = net.add_node();
+  const net::NodeId g = net.add_node();
+  net::LinkConfig cfg;
+  cfg.bandwidth_bps = 8e6;  // 1000 B -> 1 ms serialization
+  cfg.delay = 0.01;
+  cfg.buffer_pkts = 64;
+  net.connect(s, g, cfg);
+  std::vector<net::NodeId> leaves;
+  for (int i = 0; i < 3; ++i) {
+    leaves.push_back(net.add_node());
+    net.connect(g, leaves.back(), cfg);
+  }
+  net.build_routes();
+
+  // A window-limited session, as the TCP case above: 16 packets in flight
+  // against a ~41-packet bandwidth-delay product, so every ACK takes the
+  // healthy path — per-packet send records, coverage marks and RTT
+  // samples, the reach-all advance, and the receivers' reassembly.
+  rla::RlaParams params;
+  params.initial_cwnd = 16.0;
+  params.max_cwnd = 16.0;
+  rla::RlaSession session(net, s, /*group=*/1, /*port=*/1, /*flow=*/1,
+                          params);
+  for (const net::NodeId leaf : leaves) session.add_receiver(leaf, 1);
+  session.start_at(0.0);
+  sim.run_until(1.0);  // warm-up: send-record ring, boards, pipes, heap
+
+  const std::uint64_t before = g_news;
+  const std::uint64_t acks_before = session.sender().acks_received();
+  const net::SeqNum sent_before = session.sender().next_seq();
+  sim.run_until(20.0);
+  const net::SeqNum sent = session.sender().next_seq() - sent_before;
+  EXPECT_EQ(g_news - before, 0u)
+      << "RLA send/ACK loop hit the heap over " << sent << " packets";
+  EXPECT_GT(sent, 5000);
+  EXPECT_GT(session.sender().acks_received() - acks_before,
+            3u * static_cast<std::uint64_t>(sent) - 100u);
 }
 
 }  // namespace

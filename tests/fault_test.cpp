@@ -297,7 +297,7 @@ struct DuplexHop {
 };
 
 TEST(Fault, ForwardOnlyPlanLeavesReverseStreamByteIdentical) {
-  // ISSUE 8 satellite: a forward-path-only plan must leave the reverse
+  // Reverse-path isolation: a forward-path-only plan must leave the reverse
   // (ACK) direction byte-identical to a pristine run — same uids, same
   // arrival instants — because each direction draws from its own
   // "fault-link-<from>-<to>" stream and an unimpaired link has no hook.

@@ -92,9 +92,10 @@ TEST(FairnessMonitor, WindowSeriesAndAppLimitedExclusion) {
 }
 
 TEST(FairnessMonitor, AllExcludedWindowIsSkippedNotNaN) {
-  // Regression (ISSUE 8 satellite): when every flow is app-limited-excluded
-  // in a window, the window must yield the defined -1 sentinel — never NaN
-  // — and min/mean must skip it instead of propagating.
+  // Regression (the NaN Jain index of an all-excluded window): when every
+  // flow is app-limited-excluded in a window, the window must yield the
+  // defined -1 sentinel — never NaN — and min/mean must skip it instead of
+  // propagating.
   sim::Simulator sim(1);
   stats::FairnessMonitorConfig cfg;
   cfg.window = 1.0;

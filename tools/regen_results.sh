@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Regenerates the shipped result transcripts:
-#   test_output.txt   - full ctest run
-#   bench_output.txt  - every bench binary at its default (scaled) settings
+# Regenerates the result transcripts into the git-ignored results/ directory:
+#   results/test_output.txt   - full ctest run
+#   results/bench_output.txt  - every bench binary at its default (scaled)
+#                               settings
 #   results/*.json    - machine-readable batches from the exp/-migrated benches
 #   BENCH_*.json      - repo-root trajectory snapshots (engine throughput,
 #                       workload fairness minima, peak RSS) whose git history
@@ -22,11 +23,12 @@ fail() {
   exit 1
 }
 
+OUT="$ROOT/results"
+
 cmake --build "$ROOT/$BUILD"
 
-ctest --test-dir "$ROOT/$BUILD" 2>&1 | tee "$ROOT/test_output.txt"
-
-mkdir -p "$ROOT/results"
+mkdir -p "$OUT"
+ctest --test-dir "$ROOT/$BUILD" 2>&1 | tee "$OUT/test_output.txt"
 
 # Benches migrated onto the exp/ runner (accept --jobs/--json).
 exp_benches="bench_fig7_droptail bench_fig9_red bench_fig10_rtt bench_multisession bench_engine bench_robustness bench_adversary bench_workload bench_scale"
@@ -46,19 +48,19 @@ trajectory_args() {
   esac
 }
 
-: > "$ROOT/bench_output.txt"
+: > "$OUT/bench_output.txt"
 for b in "$ROOT/$BUILD"/bench/*; do
   [ -x "$b" ] && [ -f "$b" ] || continue
   name="$(basename "$b")"
-  echo "########## $name" | tee -a "$ROOT/bench_output.txt"
+  echo "########## $name" | tee -a "$OUT/bench_output.txt"
   if is_exp_bench "$name"; then
-    json="$ROOT/results/$name.json"
+    json="$OUT/$name.json"
     rm -f "$json"
     set +e
     # shellcheck disable=SC2046  # trajectory_args is empty or two words
     "$b" --jobs "$JOBS" --json "$json" \
       $(trajectory_args "$name") 2>&1 \
-      | tee -a "$ROOT/bench_output.txt"
+      | tee -a "$OUT/bench_output.txt"
     status=${PIPESTATUS[0]}
     set -e
     [ "$status" -eq 0 ] || fail "$name exited with status $status"
@@ -67,12 +69,12 @@ for b in "$ROOT/$BUILD"/bench/*; do
       fail "$name JSON is malformed: no \"runs\" array in $json"
   else
     set +e
-    "$b" 2>&1 | tee -a "$ROOT/bench_output.txt"
+    "$b" 2>&1 | tee -a "$OUT/bench_output.txt"
     status=${PIPESTATUS[0]}
     set -e
     [ "$status" -eq 0 ] || fail "$name exited with status $status"
   fi
-  echo | tee -a "$ROOT/bench_output.txt"
+  echo | tee -a "$OUT/bench_output.txt"
 done
 
 # Crash-report summaries from any --isolate sweeps. Each report's header
@@ -81,7 +83,7 @@ done
 {
   echo "########## crash reports (results/crashes)"
   found=0
-  for r in "$ROOT/results/crashes"/*.crash.txt; do
+  for r in "$OUT/crashes"/*.crash.txt; do
     [ -f "$r" ] || continue
     found=1
     echo "--- $(basename "$r")"
@@ -89,4 +91,4 @@ done
   done
   [ "$found" -eq 1 ] || echo "(none)"
   echo
-} | tee -a "$ROOT/bench_output.txt"
+} | tee -a "$OUT/bench_output.txt"
