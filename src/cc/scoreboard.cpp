@@ -35,7 +35,8 @@ std::int64_t Scoreboard::advance(net::SeqNum new_una) {
   const std::int64_t n = new_una - una_;
   const std::int64_t drop = std::min<std::int64_t>(n, high_ - una_);
   for (std::int64_t i = 0; i < drop; ++i) {
-    const std::uint8_t f = flags_.pop_front();
+    const std::uint8_t f = flags_.front();
+    flags_.pop_front();
     if ((f & kSacked) != 0) --sacked_count_;
     if ((f & (kLost | kSacked)) == kLost) --lost_count_;
     if ((f & kRexmitted) != 0) --rexmit_count_;
@@ -69,12 +70,18 @@ int Scoreboard::detect_losses(int dupthresh) {
   if (sacked_count_ < dupthresh) return 0;
   // Walk from the top, counting SACKed packets above the cursor; everything
   // below the dupthresh-th SACKed packet that is itself unSACKed is lost.
+  // Below marked_below_ every packet is SACKed or lost already, so the walk
+  // stops there.
+  const std::size_t floor = static_cast<std::size_t>(
+      std::max(marked_below_, una_) - una_);
   int newly = 0;
   int sacked_above = 0;
-  for (std::size_t i = flags_.size(); i-- > 0;) {
+  for (std::size_t i = flags_.size(); i-- > floor;) {
     std::uint8_t& f = flags_[i];
     if ((f & kSacked) != 0) {
-      ++sacked_above;
+      if (++sacked_above == dupthresh)
+        marked_below_ =
+            std::max(marked_below_, una_ + static_cast<net::SeqNum>(i));
       continue;
     }
     if (sacked_above >= dupthresh && (f & kLost) == 0) {
@@ -89,6 +96,7 @@ int Scoreboard::detect_losses(int dupthresh) {
 }
 
 void Scoreboard::mark_all_lost() {
+  marked_below_ = high_;
   for (std::size_t i = 0; i < flags_.size(); ++i) {
     std::uint8_t& f = flags_[i];
     if ((f & kSacked) != 0) continue;
@@ -134,6 +142,7 @@ void Scoreboard::reset(net::SeqNum next_seq) {
   flags_ = {};
   una_ = high_ = next_seq;
   fm_cursor_ = next_seq;  // pooled boards get reused at lower sequences
+  marked_below_ = next_seq;
   sacked_count_ = lost_count_ = rexmit_count_ = 0;
   pipe_ = 0;
 }

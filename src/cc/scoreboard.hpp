@@ -49,7 +49,10 @@ class Scoreboard {
   int apply_sack(const net::SackBlock* blocks, int n_blocks);
 
   /// Marks as lost every unSACKed packet with >= dupthresh SACKed packets
-  /// above it. Returns the number of packets newly marked.
+  /// above it. Returns the number of packets newly marked.  Walks down from
+  /// the top only as far as the previous walks marked: a SACK or loss mark
+  /// never clears while its packet is outstanding, so every packet below
+  /// that point is marked already.
   int detect_losses(int dupthresh);
 
   /// Marks every unSACKed outstanding packet as lost and clears their
@@ -121,6 +124,8 @@ class Scoreboard {
   net::SeqNum una_ = 0;
   net::SeqNum high_ = 0;
   mutable net::SeqNum fm_cursor_ = 0;  // first_missing scan cursor
+  // Every outstanding packet below this is SACKed or marked lost.
+  net::SeqNum marked_below_ = 0;
   std::int64_t sacked_count_ = 0;
   std::int64_t lost_count_ = 0;  // lost and not SACKed since
   std::int64_t rexmit_count_ = 0;  // entries with the rexmitted flag set

@@ -7,7 +7,6 @@
 #pragma once
 
 #include "net/queue.hpp"
-#include "sim/ring.hpp"
 
 namespace rlacast::net {
 
@@ -23,18 +22,14 @@ class DropTailQueue final : public Queue {
   explicit DropTailQueue(std::size_t capacity, std::int32_t slot_bytes = 0)
       : capacity_(capacity), slot_bytes_(slot_bytes) {}
 
-  bool enqueue(const Packet& p, sim::SimTime now) override;
-  std::optional<Packet> dequeue(sim::SimTime now) override;
-  std::size_t length() const override { return q_.size(); }
   std::size_t capacity() const { return capacity_; }
   bool byte_mode() const { return slot_bytes_ > 0; }
-  std::int64_t bytes() const { return bytes_; }
 
  private:
+  Verdict admit(const Packet& p, sim::SimTime now) override;
+
   std::size_t capacity_;
   std::int32_t slot_bytes_;
-  std::int64_t bytes_ = 0;
-  sim::Ring<Packet> q_;
 };
 
 }  // namespace rlacast::net

@@ -56,27 +56,30 @@ void Link::transmit(const Packet& p) {
     ++sim_.scheduler().counters_mut().fault_drops;
     return;
   }
+  if (!serializing()) {
+    // The queue holds packets only while the transmitter is busy, so a free
+    // transmitter finds it empty: the packet takes the queue's admission
+    // decision and goes straight onto the wire.
+    const Queue::Verdict v = queue_->pass_through(p, sim_.now());
+    if (v == Queue::Verdict::kDrop) {
+      ++drops_;
+      return;
+    }
+    start(p, v == Queue::Verdict::kMark);
+    return;
+  }
   if (!queue_->enqueue(p, sim_.now())) {
     ++drops_;  // queue overflow: the hop discards the packet
     return;
   }
-  // The queue holds packets only while the transmitter is busy, so a free
-  // transmitter starts the packet just offered.
-  if (!serializing()) {
-    start();
-  } else if (!end_armed_) {
-    arm_end();  // the first packet to wait: its start needs the event
-  }
+  if (!end_armed_) arm_end();  // the first packet to wait needs the event
 }
 
-void Link::start() {
-  auto next = queue_->dequeue(sim_.now());
-  if (!next) return;
-  Packet& p = *next;
+void Link::start(const Packet& p, bool ce) {
   busy_until_ = sim_.now() + tx_time(p.size_bytes);
   tx_bytes_ = p.size_bytes;
   if (fault_ == nullptr) {
-    pipe_.push(busy_until_ + delay_, std::move(p));
+    pipe_.push(busy_until_ + delay_, p).ce |= ce;
   } else {
     // Faulted wire: the packet may be lost, duplicated, or jittered on its
     // propagation leg.  Queue dynamics above are untouched.
@@ -95,9 +98,9 @@ void Link::start() {
       if (v.duplicated) {
         ++fault_duplicates_;
         ++sim_.scheduler().counters_mut().fault_duplicates;
-        pipe_.push(arrive_at, p);  // the extra copy; original follows
+        pipe_.push(arrive_at, p).ce |= ce;  // the extra copy; original follows
       }
-      pipe_.push(arrive_at, std::move(p));
+      pipe_.push(arrive_at, p).ce |= ce;
     }
   }
   if (tx_bytes_ >= 0) {
@@ -117,10 +120,11 @@ void Link::arm_end() {
 }
 
 void Link::on_serialized() {
-  // Serialization end with a packet waiting: serve it, and stay armed for
-  // the next end while the queue still holds packets.
+  // Serialization end with a packet waiting: serve it straight from its
+  // queue slot, and stay armed for the next end while packets still wait.
   end_armed_ = false;
-  start();
+  start(queue_->front(), false);
+  queue_->pop(sim_.now());
   if (queue_->length() != 0) arm_end();
 }
 

@@ -7,6 +7,14 @@
 //    which the transmitter is free to serve the next packet (propagation is
 //    pipelined, serialization is not).
 //
+// A packet is copied once per hop, into its pipe slot.  The queue holds
+// packets only while the transmitter is busy, so a packet offered to a free
+// transmitter takes only the queue's admission decision
+// (Queue::pass_through: the same verdict, counters and RED state as storing
+// it and serving it at once) and goes onto the wire; a waiting packet is
+// copied from its queue slot into the pipe when the transmitter frees up.
+// Both go onto the wire through start().
+//
 // Events follow ns-2's order.  When a packet starts transmitting its fate
 // on the wire is settled at once: it enters the propagation pipe, due at
 // serialization end + delay, and only then is the transmitter's end key
@@ -179,9 +187,11 @@ class Link : public replay::Snapshotable {
   /// Whether the packet in service is counted in delivered_ already.
   bool in_service_delivers() const { return tx_bytes_ >= 0 && serializing(); }
 
-  /// Starts the head-of-line packet, if any: draws its wire verdict, puts
-  /// it in the pipe and reserves the transmitter's end key.
-  void start();
+  /// Puts `p` on the wire, with its CE bit set if `ce`: draws its wire
+  /// verdict, copies it into the pipe and reserves the transmitter's end
+  /// key.  The one path onto the wire, for a packet offered to a free
+  /// transmitter and for the head of the queue at a serializer end.
+  void start(const Packet& p, bool ce);
   /// Schedules the serializer end under the reserved end key.
   void arm_end();
   void on_serialized();

@@ -3,13 +3,27 @@
 // The paper's evaluation contrasts two disciplines: drop-tail FIFO (the
 // dominant Internet router of 1998) and RED.  Both are measured in packets —
 // "all nodes have a buffer of size 20 packets".
+//
+// A discipline is only its admission decision: admit() looks at an offered
+// packet and the backlog and answers drop, accept or accept-and-mark (RED's
+// ECN).  Queue owns the storage — one packet ring and its byte count — and
+// the counters, so every discipline stores, serves and counts alike.  RED
+// also hears when the queue goes idle, for its idle-time aging.
+//
+// Storage is a copy of the packet in a ring slot; the link serves the head
+// by reading front() in place and then pop()ping it.  A link whose
+// transmitter is free offers through pass_through() instead: the queue is
+// empty then, and the packet only needs the decision enqueue() would make
+// on its way to the wire.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <optional>
 
 #include "net/packet.hpp"
 #include "replay/snapshot.hpp"
+#include "sim/ring.hpp"
 
 namespace rlacast::net {
 
@@ -28,17 +42,69 @@ struct QueueStats {
 
 class Queue : public replay::Snapshotable {
  public:
+  /// An admission decision.  kMark accepts the packet with its CE bit set.
+  enum class Verdict : std::uint8_t { kDrop, kAccept, kMark };
+
   ~Queue() override = default;
 
-  /// Offers a packet at time `now`. Returns true if accepted; a false return
-  /// means the packet was dropped (the caller discards it).
-  virtual bool enqueue(const Packet& p, sim::SimTime now) = 0;
+  /// Offers a packet at time `now` and stores it if admitted. Returns true
+  /// if accepted; a false return means the packet was dropped (the caller
+  /// discards it).
+  bool enqueue(const Packet& p, sim::SimTime now) {
+    const Verdict v = admit(p, now);
+    if (v == Verdict::kDrop) {
+      ++stats_.dropped;
+      return false;
+    }
+    Packet& stored = q_.push_back(p);
+    if (v == Verdict::kMark) stored.ce = true;
+    bytes_ += p.size_bytes;
+    ++stats_.enqueued;
+    return true;
+  }
 
-  /// Removes the head-of-line packet; nullopt when empty.
-  virtual std::optional<Packet> dequeue(sim::SimTime now) = 0;
+  /// Offers a packet to an empty queue whose server takes it at once: the
+  /// decision enqueue() would make, counted as an enqueue and a dequeue at
+  /// `now` as enqueue() then dequeue() would count them, without storing
+  /// the packet.  The caller sends an accepted packet on, with its CE bit
+  /// set on kMark.
+  Verdict pass_through(const Packet& p, sim::SimTime now) {
+    assert(q_.empty());
+    const Verdict v = admit(p, now);
+    if (v == Verdict::kDrop) {
+      ++stats_.dropped;
+    } else {
+      ++stats_.enqueued;
+      ++stats_.dequeued;
+      went_idle(now);
+    }
+    return v;
+  }
+
+  /// The head-of-line packet, in its slot; the queue must not be empty.
+  const Packet& front() const { return q_.front(); }
+
+  /// Removes the head-of-line packet at `now`; the queue must not be empty.
+  void pop(sim::SimTime now) {
+    bytes_ -= q_.front().size_bytes;
+    q_.pop_front();
+    ++stats_.dequeued;
+    if (q_.empty()) went_idle(now);
+  }
+
+  /// Removes and returns the head-of-line packet; nullopt when empty.
+  std::optional<Packet> dequeue(sim::SimTime now) {
+    if (q_.empty()) return std::nullopt;
+    std::optional<Packet> p = q_.front();
+    pop(now);
+    return p;
+  }
 
   /// Instantaneous backlog in packets.
-  virtual std::size_t length() const = 0;
+  std::size_t length() const { return q_.size(); }
+
+  /// Instantaneous backlog in bytes.
+  std::int64_t bytes() const { return bytes_; }
 
   const QueueStats& stats() const { return stats_; }
 
@@ -54,11 +120,16 @@ class Queue : public replay::Snapshotable {
   }
 
  protected:
-  void note_enqueue() { ++stats_.enqueued; }
-  void note_dequeue() { ++stats_.dequeued; }
-  void note_drop() { ++stats_.dropped; }
+  /// The discipline's decision on `p`, offered at `now` to the current
+  /// backlog.  Called exactly once per offered packet.
+  virtual Verdict admit(const Packet& p, sim::SimTime now) = 0;
+
+  /// The last packet left at `now`; the queue is empty.
+  virtual void went_idle(sim::SimTime /*now*/) {}
 
  private:
+  sim::Ring<Packet> q_;
+  std::int64_t bytes_ = 0;
   QueueStats stats_;
 };
 

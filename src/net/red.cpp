@@ -7,11 +7,13 @@ namespace rlacast::net {
 void RedQueue::age_idle(sim::SimTime now) {
   if (!idle_ || params_.mean_pkt_time <= 0.0) return;
   const double m = (now - idle_since_) / params_.mean_pkt_time;
-  if (m > 0.0) avg_ *= std::pow(1.0 - params_.w_q, m);
+  // An average of exactly 0 (nothing has queued yet, or it underflowed)
+  // stays 0: skip the pow, whose factor is finite.
+  if (m > 0.0 && avg_ != 0.0) avg_ *= std::pow(1.0 - params_.w_q, m);
   idle_ = false;
 }
 
-bool RedQueue::enqueue(const Packet& p, sim::SimTime now) {
+Queue::Verdict RedQueue::admit(const Packet& p, sim::SimTime now) {
   age_idle(now);
   idle_ = false;
 
@@ -19,9 +21,9 @@ bool RedQueue::enqueue(const Packet& p, sim::SimTime now) {
 
   const bool physically_full =
       params_.slot_bytes > 0
-          ? bytes_ + p.size_bytes > static_cast<std::int64_t>(
-                                        params_.capacity) * params_.slot_bytes
-          : q_.size() >= params_.capacity;
+          ? bytes() + p.size_bytes > static_cast<std::int64_t>(
+                                         params_.capacity) * params_.slot_bytes
+          : length() >= params_.capacity;
   bool drop = false;
   bool mark = false;
   if (physically_full) {
@@ -54,28 +56,8 @@ bool RedQueue::enqueue(const Packet& p, sim::SimTime now) {
     count_ = -1;
   }
 
-  if (drop) {
-    note_drop();
-    return false;
-  }
-  Packet stored = p;
-  if (mark) stored.ce = true;
-  q_.push_back(stored);
-  bytes_ += stored.size_bytes;
-  note_enqueue();
-  return true;
-}
-
-std::optional<Packet> RedQueue::dequeue(sim::SimTime now) {
-  if (q_.empty()) return std::nullopt;
-  Packet p = q_.pop_front();
-  bytes_ -= p.size_bytes;
-  note_dequeue();
-  if (q_.empty()) {
-    idle_ = true;
-    idle_since_ = now;
-  }
-  return p;
+  if (drop) return Verdict::kDrop;
+  return mark ? Verdict::kMark : Verdict::kAccept;
 }
 
 }  // namespace rlacast::net

@@ -24,7 +24,6 @@
 
 #include "net/queue.hpp"
 #include "sim/random.hpp"
-#include "sim/ring.hpp"
 
 namespace rlacast::net {
 
@@ -54,10 +53,6 @@ class RedQueue final : public Queue {
   RedQueue(RedParams params, sim::Rng rng)
       : params_(params), rng_(std::move(rng)) {}
 
-  bool enqueue(const Packet& p, sim::SimTime now) override;
-  std::optional<Packet> dequeue(sim::SimTime now) override;
-  std::size_t length() const override { return q_.size(); }
-
   double avg() const { return avg_; }
   const RedParams& params() const { return params_; }
 
@@ -74,7 +69,7 @@ class RedQueue final : public Queue {
     replay::Snapshot s = Queue::snapshot_state();
     s.put("avg", avg_);
     s.put("count", count_);
-    s.put("bytes", bytes_);
+    s.put("bytes", bytes());
     s.put("idle", idle_);
     s.put("early_drops", early_drops_);
     s.put("forced_drops", forced_drops_);
@@ -85,20 +80,23 @@ class RedQueue final : public Queue {
   }
 
  private:
+  Verdict admit(const Packet& p, sim::SimTime now) override;
+  void went_idle(sim::SimTime now) override {
+    idle_ = true;
+    idle_since_ = now;
+  }
   void age_idle(sim::SimTime now);
 
   /// Instantaneous queue length in the unit RED thresholds use (packets, or
   /// mean-packet equivalents in byte mode).
   double measured_length() const {
     return params_.slot_bytes > 0
-               ? static_cast<double>(bytes_) / params_.slot_bytes
-               : static_cast<double>(q_.size());
+               ? static_cast<double>(bytes()) / params_.slot_bytes
+               : static_cast<double>(length());
   }
 
   RedParams params_;
   sim::Rng rng_;
-  sim::Ring<Packet> q_;
-  std::int64_t bytes_ = 0;
   double avg_ = 0.0;
   std::int64_t count_ = -1;  // packets since last early drop; -1 = below min
   bool idle_ = true;

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <random>
 #include <string>
 #include <string_view>
@@ -25,20 +26,25 @@ namespace rlacast::sim {
 
 /// A single random stream. Thin wrapper over a 64-bit Mersenne twister with
 /// the distributions this project needs.
+///
+/// The twister's 2.5 kB of state is built on the heap at the stream's first
+/// draw, from the seed kept until then: many streams (a RED queue that never
+/// reaches min_th, a web connection's unused pacers) never draw, and a
+/// stream that does draws exactly what an eagerly seeded engine would.
 class Rng {
  public:
-  explicit Rng(std::uint64_t seed) : engine_(seed) {}
+  explicit Rng(std::uint64_t seed) : seed_(seed) {}
 
   /// An observed stream: every draw is reported to `observer` under
   /// `stream_id` (assigned by the observer at stream creation).
   Rng(std::uint64_t seed, replay::RunObserver* observer,
       std::uint32_t stream_id)
-      : engine_(seed), observer_(observer), stream_id_(stream_id) {}
+      : seed_(seed), observer_(observer), stream_id_(stream_id) {}
 
   /// Uniform double in [0, 1).
   double uniform() {
     note_draw();
-    return unit_(engine_);
+    return unit_(engine());
   }
 
   /// Uniform double in [lo, hi).
@@ -47,13 +53,13 @@ class Rng {
   /// Uniform integer in [lo, hi] inclusive.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) {
     note_draw();
-    return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine_);
+    return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine());
   }
 
   /// Exponentially distributed double with the given mean.
   double exponential(double mean) {
     note_draw();
-    return std::exponential_distribution<double>(1.0 / mean)(engine_);
+    return std::exponential_distribution<double>(1.0 / mean)(engine());
   }
 
   /// Bernoulli trial.
@@ -64,7 +70,11 @@ class Rng {
   /// amount of randomness in both.
   std::uint64_t draw_count() const { return draws_; }
 
-  std::mt19937_64& engine() { return engine_; }
+  /// The underlying engine, seeded on first use.
+  std::mt19937_64& engine() {
+    if (!engine_) engine_ = std::make_unique<std::mt19937_64>(seed_);
+    return *engine_;
+  }
 
  private:
   void note_draw() {
@@ -72,7 +82,8 @@ class Rng {
     if (observer_ != nullptr) observer_->on_draw(stream_id_, draws_);
   }
 
-  std::mt19937_64 engine_;
+  std::unique_ptr<std::mt19937_64> engine_;  // null until the first draw
+  std::uint64_t seed_;
   std::uniform_real_distribution<double> unit_{0.0, 1.0};
   std::uint64_t draws_ = 0;
   replay::RunObserver* observer_ = nullptr;

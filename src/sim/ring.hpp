@@ -5,7 +5,9 @@
 //
 // The point is allocation behaviour: scheduled events reference the owning
 // component (`this`) and pop from its ring, instead of capturing ~150-byte
-// Packet copies inside chained closures.  The ring grows geometrically to
+// Packet copies inside chained closures.  Elements are copied in once, into
+// their slot, and read in place from there: a packet's trip through a queue
+// or a pipe costs one copy.  The ring grows geometrically to
 // the pipeline's natural depth (bandwidth-delay product of the hop, burst
 // depth of the pacer, the sender's window) and then recycles storage
 // forever — steady-state traffic performs zero heap allocations.
@@ -29,6 +31,10 @@ class Ring {
     assert(count_ > 0);
     return buf_[head_];
   }
+  const T& front() const {
+    assert(count_ > 0);
+    return buf_[head_];
+  }
 
   /// The i-th oldest element (0 = front).
   T& operator[](std::size_t i) {
@@ -40,27 +46,31 @@ class Ring {
     return buf_[(head_ + i) & (buf_.size() - 1)];
   }
 
-  void push_back(T v) {
+  /// Copies `v` into the slot after the newest element and returns that
+  /// slot, so the caller can adjust the stored copy in place.
+  T& push_back(const T& v) {
     if (count_ == buf_.size()) grow();
-    buf_[(head_ + count_) & (buf_.size() - 1)] = std::move(v);
+    T& slot = buf_[(head_ + count_) & (buf_.size() - 1)];
+    slot = v;
     ++count_;
+    return slot;
   }
 
   /// Inserts `v` ahead of the oldest element (it becomes the new front).
-  void push_front(T v) {
+  void push_front(const T& v) {
     if (count_ == buf_.size()) grow();
     head_ = (head_ + buf_.size() - 1) & (buf_.size() - 1);
-    buf_[head_] = std::move(v);
+    buf_[head_] = v;
     ++count_;
   }
 
-  /// Removes and returns the oldest element.
-  T pop_front() {
+  /// Removes the oldest element.  Its slot is left as it was: a reference
+  /// taken with front() still reads the element until pushes fill the ring
+  /// up to that slot again (the slot is the last one they reuse).
+  void pop_front() {
     assert(count_ > 0);
-    T v = std::move(buf_[head_]);
     head_ = (head_ + 1) & (buf_.size() - 1);
     --count_;
-    return v;
   }
 
  private:

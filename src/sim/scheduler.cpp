@@ -76,13 +76,22 @@ void Scheduler::heap_push(std::uint32_t slot) {
   Slot& s = slots_[slot];
   s.queued_at = s.at;
   s.queued_seq = s.seq;
-  heap_.emplace_back();
-  sift_up(heap_.size() - 1, HeapEntry{time_bits(s.at), s.seq, slot});
+  const HeapEntry e{time_bits(s.at), s.seq, slot};
+  if (root_held_) {
+    // The dispatched event's entry still sits at the root, and it orders
+    // before every key that may be scheduled now: replace it.
+    root_held_ = false;
+    sift_down(0, e);
+  } else {
+    heap_.emplace_back();
+    sift_up(heap_.size() - 1, e);
+  }
   counters_.heap_hiwater = std::max(counters_.heap_hiwater, heap_.size());
 }
 
 void Scheduler::heap_pop() {
   assert(!heap_.empty());
+  root_held_ = false;  // a held root is the entry popped
   const HeapEntry last = heap_.back();
   heap_.pop_back();
   if (!heap_.empty()) sift_down(0, last);
@@ -156,10 +165,12 @@ void Scheduler::cancel(EventId id) {
   // Tidy: drop dead keys that already surfaced, and empty the heap outright
   // when nothing live remains — a fully-cancelled scheduler reports
   // empty()/next_time() == kNever without a dispatch attempt.
-  if (live_events_ == 0)
+  if (live_events_ == 0) {
     heap_.clear();
-  else
+    root_held_ = false;
+  } else {
     skim();
+  }
 }
 
 void Scheduler::skim() const {
@@ -189,18 +200,22 @@ bool Scheduler::run_one() {
   skim();
   if (heap_.empty()) return false;
   const std::uint32_t slot = heap_[0].slot;
-  heap_pop();
   // Move the callback out and free the slot before invoking, so re-entrant
   // scheduling from the callback (which may reuse this very slot) is safe.
   Slot& s = slots_[slot];
   now_ = s.at;
   now_seq_ = s.seq;
   Callback cb = std::move(s.cb);  // leaves the slot empty
-  release_slot(slot);
+  release_slot(slot);  // the root entry is dead from here on
   --live_events_;
   ++counters_.dispatched;
+  // The entry stays at the root, held, while the callback runs: its first
+  // heap_push() replaces it with one sift_down, and a skim() or heap_pop()
+  // in between drops it like any dead entry.
+  root_held_ = true;
   if (observer_ != nullptr) observer_->on_dispatch(counters_.dispatched, now_);
   cb();
+  if (root_held_) heap_pop();  // nothing was pushed
   return true;
 }
 
@@ -209,7 +224,9 @@ replay::Snapshot Scheduler::snapshot_state() const {
   s.put("now", now_);
   s.put("next_seq", next_seq_);
   s.put("live_events", live_events_);
-  s.put("heap_size", heap_.size());
+  // A held root is the dispatched event's entry, already out of the heap
+  // as far as any history is concerned.
+  s.put("heap_size", heap_.size() - (root_held_ ? 1 : 0));
   s.put("scheduled", counters_.scheduled);
   s.put("cancelled", counters_.cancelled);
   s.put("rescheduled", counters_.rescheduled);

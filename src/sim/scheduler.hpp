@@ -24,7 +24,14 @@
 //  * reschedule_at() moving an event no earlier than its queued heap entry
 //    only records the new key in the slot; the entry is re-queued under it
 //    when it reaches the top.  That is what makes TCP-style "restart the
-//    rexmit timer on every ACK" churn cost no heap operation at all.
+//    rexmit timer on every ACK" churn cost no heap operation at all;
+//  * run_one() leaves the dispatched entry at the root, held, while the
+//    callback runs.  The callback's first push replaces it with a single
+//    sift_down (a dispatch that schedules one event costs one sift, not a
+//    pop's sift_down plus a push's sift_up); it is popped afterwards only
+//    if nothing was pushed.  Every key scheduled from a callback orders
+//    after the dispatched one, and keys are unique, so the dispatch order
+//    is the one a pop-then-push heap gives.
 // A heap entry is identified by (slot, seq): it stands for its slot only
 // while the slot's queued sequence number matches, so entries orphaned by
 // cancels, earlier-time retargets and slot reuse are recognised on sight.
@@ -200,6 +207,9 @@ class Scheduler : public replay::Snapshotable {
   // The heap is storage for *keys*; dead entries are cache garbage skimmed
   // lazily, so const queries may reshape it.
   mutable std::vector<HeapEntry> heap_;
+  // heap_[0] is the dispatched event's (dead) entry, kept for the
+  // callback's first push to replace; cleared by that push or any pop.
+  bool root_held_ = false;
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNoFree;
   SimTime now_ = 0.0;

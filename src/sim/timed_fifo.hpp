@@ -3,14 +3,21 @@
 // it holds.
 //
 // push(at, v) reserves v's dispatch sequence number with take_seq() exactly
-// where an event of its own would have been scheduled, and keeps (at, seq)
-// beside v in a recycled Ring.  Only the head is armed (schedule_at_seq):
-// the FIFO holds exactly one scheduled event while non-empty and none while
-// empty.  When the head falls due it is popped and the next head armed
-// before the value is handed to the sink, so a sink that re-enters push()
-// finds the FIFO in that state.  Every value therefore dispatches under the
-// key a per-value event would have had, and the heap holds one key for the
-// whole source (a link's propagation pipe, a pacer's pending departures).
+// where an event of its own would have been scheduled, copies v into a
+// recycled Ring and keeps (at, seq) in a parallel one.  Only the head is
+// armed (schedule_at_seq): the FIFO holds exactly one scheduled event while
+// non-empty and none while empty.  When the head falls due it is popped and
+// the next head armed before the value is handed to the sink, so a sink
+// that re-enters push() finds the FIFO in that state.  Every value
+// therefore dispatches under the key a per-value event would have had, and
+// the heap holds one key for the whole source (a link's propagation pipe,
+// a pacer's pending departures).
+//
+// The sink reads the value in its popped ring slot, not a copy.  The slot
+// keeps the value until pushes fill the ring up to it again, so a sink that
+// pushes onto its own FIFO must copy the value before it does (the sinks
+// here hand packets to net::Network::inject, which takes its own copy, or
+// to a node that can never reach the same FIFO synchronously).
 //
 // Keys must increase in both components: each push's time must not be
 // earlier than the previous one's (sequence numbers increase by
@@ -36,25 +43,27 @@ class TimedFifo {
   TimedFifo(const TimedFifo&) = delete;
   TimedFifo& operator=(const TimedFifo&) = delete;
 
-  bool empty() const { return ring_.empty(); }
-  std::size_t size() const { return ring_.size(); }
+  bool empty() const { return keys_.empty(); }
+  std::size_t size() const { return keys_.size(); }
 
-  /// Appends `v`, due at `at`; arms it if the FIFO was empty.
-  void push(SimTime at, T v) {
-    assert(ring_.empty() || ring_[ring_.size() - 1].at <= at);
-    ring_.push_back(Entry{std::move(v), at, sched_.take_seq()});
-    if (ring_.size() == 1) arm_head();
+  /// Appends a copy of `v`, due at `at`, and returns the stored copy; arms
+  /// it if the FIFO was empty.
+  T& push(SimTime at, const T& v) {
+    assert(keys_.empty() || keys_[keys_.size() - 1].at <= at);
+    T& stored = values_.push_back(v);
+    keys_.push_back(Key{at, sched_.take_seq()});
+    if (keys_.size() == 1) arm_head();
+    return stored;
   }
 
  private:
-  struct Entry {
-    T value;
+  struct Key {
     SimTime at = 0.0;
     std::uint64_t seq = 0;
   };
 
   void arm_head() {
-    const Entry& head = ring_.front();
+    const Key& head = keys_.front();
     auto due = [this] { fire(); };
     static_assert(SmallCallback::fits_inline<decltype(due)>(),
                   "FIFO head events must use the inline callback path");
@@ -62,14 +71,17 @@ class TimedFifo {
   }
 
   void fire() {
-    Entry head = ring_.pop_front();
-    if (!ring_.empty()) arm_head();
-    sink_(std::move(head.value));
+    const T& value = values_.front();
+    values_.pop_front();
+    keys_.pop_front();
+    if (!keys_.empty()) arm_head();
+    sink_(value);
   }
 
   Scheduler& sched_;
   Sink sink_;
-  Ring<Entry> ring_;
+  Ring<T> values_;  // values_[i] is due under keys_[i]
+  Ring<Key> keys_;
 };
 
 }  // namespace rlacast::sim

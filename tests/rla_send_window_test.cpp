@@ -283,7 +283,8 @@ TEST(Ring, PushFrontWrapsAndGrows) {
   ASSERT_EQ(r.size(), 5u);
   for (std::size_t i = 0; i < r.size(); ++i)
     EXPECT_EQ(r[i], static_cast<int>(i) - 2);
-  EXPECT_EQ(r.pop_front(), -2);
+  EXPECT_EQ(r.front(), -2);
+  r.pop_front();
   EXPECT_EQ(r.front(), -1);
 }
 

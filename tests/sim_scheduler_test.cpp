@@ -351,6 +351,121 @@ TEST(Scheduler, RandomizedStressMatchesNaiveReference) {
   EXPECT_TRUE(s.empty());
 }
 
+// Callbacks that act on the scheduler themselves, checked against the naive
+// reference of RandomizedStressMatchesNaiveReference.  Every dispatch runs
+// with the dispatched entry held at the heap root; each callback schedules
+// zero to two events and, in random order among those, cancels, retargets
+// earlier or later, and asks next_time() and pending() — so the held entry
+// meets every way a callback can replace, skim or pop it.  The reference
+// checks each dispatch as it happens: it must be the reference's earliest
+// live event.
+TEST(Scheduler, CallbacksActingOnTheSchedulerMatchNaiveReference) {
+  struct RefEvent {
+    SimTime at;
+    std::uint64_t seq;
+    int marker;
+    bool alive;
+  };
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Scheduler s;
+    Rng rng(seed);
+    std::vector<RefEvent> ref;
+    // (real id, index into ref); may refer to events that already fired.
+    std::vector<std::pair<EventId, std::size_t>> handles;
+    std::uint64_t ref_seq = 1;
+    int next_marker = 0;
+    int dispatches = 0;
+    std::size_t alive = 0;
+    std::function<void(int)> on_fire;
+
+    auto ref_earliest = [&] {
+      std::size_t best = ref.size();
+      for (std::size_t i = 0; i < ref.size(); ++i) {
+        if (!ref[i].alive) continue;
+        if (best == ref.size() || ref[i].at < ref[best].at ||
+            (ref[i].at == ref[best].at && ref[i].seq < ref[best].seq))
+          best = i;
+      }
+      return best;
+    };
+    auto schedule = [&](SimTime at) {
+      const int m = next_marker++;
+      const EventId id = s.schedule_at(at, [&on_fire, m] { on_fire(m); });
+      handles.emplace_back(id, ref.size());
+      ref.push_back({at, ref_seq++, m, true});
+      ++alive;
+    };
+    // Half the picks come from the newest handles, which are mostly live.
+    auto any_handle = [&] {
+      const auto n = static_cast<std::int64_t>(handles.size());
+      const std::int64_t lo =
+          rng.chance(0.5) ? std::max<std::int64_t>(0, n - 8) : 0;
+      return static_cast<std::size_t>(rng.uniform_int(lo, n - 1));
+    };
+    on_fire = [&](int m) {
+      if (::testing::Test::HasFatalFailure()) return;
+      const std::size_t best = ref_earliest();
+      ASSERT_LT(best, ref.size()) << "dispatch " << dispatches;
+      ASSERT_EQ(ref[best].marker, m) << "dispatch " << dispatches;
+      ASSERT_EQ(ref[best].at, s.now()) << "dispatch " << dispatches;
+      ref[best].alive = false;
+      --alive;
+      ++dispatches;
+      // 'S' schedules; 'C' cancels, 'R' retargets and 'N' queries.  The
+      // population alternates, every 1000 dispatches, between a deep heap
+      // and one of at most two events, where a callback often cancels the
+      // last live event before it schedules; from dispatch 20000 on, the
+      // callbacks schedule nothing and the heap drains.
+      std::vector<char> acts;
+      const bool drain = dispatches >= 20000;
+      const std::size_t cap = (dispatches / 1000) % 2 == 0 ? 300 : 2;
+      const std::int64_t n_sched =
+          !drain && alive < cap ? (rng.uniform_int(0, 4) + 1) / 2 : 0;
+      for (std::int64_t i = 0; i < n_sched; ++i) acts.push_back('S');
+      for (std::int64_t i = rng.uniform_int(0, 2); i > 0; --i)
+        acts.push_back("CRN"[rng.uniform_int(0, 2)]);
+      for (std::size_t i = acts.size(); i > 1; --i)
+        std::swap(acts[i - 1], acts[static_cast<std::size_t>(rng.uniform_int(
+                                   0, static_cast<std::int64_t>(i) - 1))]);
+      for (const char a : acts) {
+        if (a == 'S') {
+          schedule(s.now() + 0.5 * rng.uniform_int(0, 8));
+        } else if (a == 'C' && !handles.empty()) {
+          const std::size_t k = any_handle();
+          s.cancel(handles[k].first);  // may be stale, or this very event
+          if (ref[handles[k].second].alive) --alive;
+          ref[handles[k].second].alive = false;
+        } else if (a == 'R' && !handles.empty()) {
+          // Earlier or later than the event's current time, never past.
+          const std::size_t k = any_handle();
+          const SimTime at = s.now() + 0.5 * rng.uniform_int(0, 8);
+          const EventId nid = s.reschedule_at(handles[k].first, at);
+          ASSERT_EQ(nid != kInvalidEventId, ref[handles[k].second].alive);
+          if (nid != kInvalidEventId) {
+            const int marker = ref[handles[k].second].marker;
+            ref[handles[k].second].alive = false;
+            handles[k] = {nid, ref.size()};
+            ref.push_back({at, ref_seq++, marker, true});
+          }
+        } else if (a == 'N') {
+          const std::size_t next = ref_earliest();
+          ASSERT_EQ(s.next_time(), next == ref.size() ? kNever : ref[next].at);
+          ASSERT_EQ(s.pending(), alive);
+        }
+      }
+      if (!drain && alive == 0) schedule(s.now() + 0.5 * rng.uniform_int(0, 8));
+      if (handles.size() > 600)
+        handles.erase(handles.begin(), handles.begin() + 300);
+    };
+
+    for (int i = 0; i < 64; ++i) schedule(0.5 * rng.uniform_int(0, 8));
+    s.run_all();
+    EXPECT_GE(dispatches, 20000) << "seed " << seed;
+    EXPECT_EQ(ref_earliest(), ref.size()) << "seed " << seed;
+    EXPECT_TRUE(s.empty()) << "seed " << seed;
+  }
+}
+
 // TimedFifo against one event per value: the same random mix of pushes,
 // plain events and pushes made from inside the sink, run once through a
 // TimedFifo and once scheduling every value as its own event, must dispatch

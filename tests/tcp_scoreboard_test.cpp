@@ -266,6 +266,11 @@ class MapScoreboard {
     return net::kNoSeq;
   }
 
+  void reset(net::SeqNum next_seq) {
+    *this = MapScoreboard{};
+    una_ = high_ = next_seq;
+  }
+
  private:
   struct State {
     bool sacked = false;
@@ -287,6 +292,29 @@ class MapScoreboard {
 
 class ScoreboardDifferential : public ::testing::TestWithParam<std::uint64_t> {
 };
+
+/// Every query of `sb` answers as the reference's does.
+void expect_same(const Scoreboard& sb, const MapScoreboard& ref, int step) {
+  ASSERT_EQ(sb.una(), ref.una()) << "step " << step;
+  ASSERT_EQ(sb.high(), ref.high()) << "step " << step;
+  ASSERT_EQ(sb.outstanding(), ref.high() - ref.una()) << "step " << step;
+  ASSERT_EQ(sb.pipe(), ref.pipe()) << "step " << step;
+  ASSERT_EQ(sb.sacked_count(), ref.sacked_count()) << "step " << step;
+  ASSERT_EQ(sb.lost_count(), ref.lost_count()) << "step " << step;
+  ASSERT_EQ(sb.rexmit_count(), ref.rexmit_count()) << "step " << step;
+  ASSERT_EQ(sb.clean(), ref.sacked_count() == 0 && ref.lost_count() == 0 &&
+                            ref.rexmit_count() == 0)
+      << "step " << step;
+  ASSERT_EQ(sb.first_missing(), ref.first_missing()) << "step " << step;
+  ASSERT_EQ(sb.next_to_retransmit(), ref.next_to_retransmit())
+      << "step " << step;
+  for (net::SeqNum s = ref.una() - 2; s < ref.high() + 2; ++s) {
+    ASSERT_EQ(sb.is_sacked(s), ref.is_sacked(s)) << "step " << step;
+    ASSERT_EQ(sb.is_lost(s), ref.is_lost(s)) << "step " << step;
+    ASSERT_EQ(sb.was_retransmitted(s), ref.was_retransmitted(s))
+        << "step " << step;
+  }
+}
 
 TEST_P(ScoreboardDifferential, RingMatchesMapOnEveryQuery) {
   sim::Rng rng(GetParam());
@@ -339,25 +367,73 @@ TEST_P(ScoreboardDifferential, RingMatchesMapOnEveryQuery) {
       ref.mark_all_lost();
     }
 
-    ASSERT_EQ(sb.una(), ref.una()) << "step " << step;
-    ASSERT_EQ(sb.high(), ref.high()) << "step " << step;
-    ASSERT_EQ(sb.outstanding(), ref.high() - ref.una()) << "step " << step;
-    ASSERT_EQ(sb.pipe(), ref.pipe()) << "step " << step;
-    ASSERT_EQ(sb.sacked_count(), ref.sacked_count()) << "step " << step;
-    ASSERT_EQ(sb.lost_count(), ref.lost_count()) << "step " << step;
-    ASSERT_EQ(sb.rexmit_count(), ref.rexmit_count()) << "step " << step;
-    ASSERT_EQ(sb.clean(), ref.sacked_count() == 0 && ref.lost_count() == 0 &&
-                              ref.rexmit_count() == 0)
-        << "step " << step;
-    ASSERT_EQ(sb.first_missing(), ref.first_missing()) << "step " << step;
-    ASSERT_EQ(sb.next_to_retransmit(), ref.next_to_retransmit())
-        << "step " << step;
-    for (net::SeqNum s = ref.una() - 2; s < ref.high() + 2; ++s) {
-      ASSERT_EQ(sb.is_sacked(s), ref.is_sacked(s)) << "step " << step;
-      ASSERT_EQ(sb.is_lost(s), ref.is_lost(s)) << "step " << step;
-      ASSERT_EQ(sb.was_retransmitted(s), ref.was_retransmitted(s))
+    expect_same(sb, ref, step);
+    if (HasFatalFailure()) return;
+  }
+}
+
+// detect_losses() stops its walk where earlier walks marked everything
+// below.  Long recoveries exercise that: a window of up to ~200 packets
+// whose holes stay open while SACKs keep arriving above them, loss
+// detection after nearly every ACK (mostly at the usual dupthresh of 3),
+// repairs, repairs presumed lost again, timeouts and board resets, all
+// checked against the reference's full walk from the top.
+TEST_P(ScoreboardDifferential, ResumedLossWalkMatchesFullWalk) {
+  sim::Rng rng(GetParam() + 100);
+  Scoreboard sb;
+  MapScoreboard ref;
+  for (int step = 0; step < 6000; ++step) {
+    const std::int64_t op = rng.uniform_int(0, 99);
+    if (op < 30) {
+      const std::int64_t burst = rng.uniform_int(1, 4);
+      for (std::int64_t i = 0; i < burst && ref.high() - ref.una() < 200; ++i) {
+        sb.on_send(sb.high());
+        ref.on_send(ref.high());
+      }
+    } else if (op < 70) {
+      // An ACK: SACK blocks near the top of the window, sometimes anywhere,
+      // then loss detection.
+      net::SackBlock blocks[3];
+      const int n = static_cast<int>(rng.uniform_int(1, 3));
+      for (int b = 0; b < n; ++b) {
+        const net::SeqNum lo =
+            rng.uniform() < 0.8
+                ? ref.high() - rng.uniform_int(0, 12)
+                : rng.uniform_int(ref.una() - 2, ref.high() + 2);
+        blocks[b] = {lo, lo + rng.uniform_int(1, 4)};
+      }
+      ASSERT_EQ(sb.apply_sack(blocks, n), ref.apply_sack(blocks, n))
           << "step " << step;
+      const int dupthresh =
+          rng.uniform() < 0.8 ? 3 : static_cast<int>(rng.uniform_int(1, 5));
+      ASSERT_EQ(sb.detect_losses(dupthresh), ref.detect_losses(dupthresh))
+          << "step " << step;
+    } else if (op < 78) {
+      // The cumulative point moves rarely and by little: holes stay open.
+      const net::SeqNum to = ref.una() + rng.uniform_int(0, 6);
+      ASSERT_EQ(sb.advance(to), ref.advance(to)) << "step " << step;
+    } else if (op < 88) {
+      const net::SeqNum seq = sb.next_to_retransmit();
+      if (seq != net::kNoSeq) {
+        sb.on_retransmit(seq);
+        ref.on_retransmit(seq);
+      }
+    } else if (op < 96) {
+      const net::SeqNum seq = rng.uniform_int(ref.una(), ref.high());
+      sb.clear_retransmitted(seq);
+      ref.clear_retransmitted(seq);
+    } else if (op < 99) {
+      sb.mark_all_lost();
+      ref.mark_all_lost();
+    } else {
+      // A pooled board reused at a lower or higher sequence.
+      const net::SeqNum at = std::max<net::SeqNum>(
+          0, ref.una() + rng.uniform_int(-50, 50));
+      sb.reset(at);
+      ref.reset(at);
     }
+    expect_same(sb, ref, step);
+    if (HasFatalFailure()) return;
   }
 }
 

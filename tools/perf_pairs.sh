@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Alternating parent/change pairs of the benchmark's end-to-end run.
 #
-#   tools/perf_pairs.sh <parent-ref> <workload> <seeds> [out-dir]
+#   tools/perf_pairs.sh [--trace] <parent-ref> <workload> <seeds> [out-dir]
 #
 # Exports <parent-ref> with `git archive` into a directory outside the
 # repository (no worktree is registered, so nothing is left behind in .git)
@@ -19,11 +19,22 @@
 # change won, and `perfbench/compare.py diff parent.jsonl change.jsonl`,
 # and exits with diff's status.
 #
+# --trace runs the pairs with `--trace 1` instead and prints, for every
+# per-layer row (sim.event_ns, net.hop_ns, sim.dispatch_ns.p50,
+# rla.ack_share, ...), each side's median and quartiles over the pairs and
+# the ratio of the medians: one traced run cannot tell two builds apart,
+# the spread over alternating runs can.  It exits 0 once every run worked.
+#
 # <seeds> uses compare.py's syntax: "10-19" or "1,3,20-22".
 set -euo pipefail
 
+TRACE=0
+if [ "${1:-}" = "--trace" ]; then
+  TRACE=1
+  shift
+fi
 if [ $# -lt 3 ] || [ $# -gt 4 ]; then
-  echo "usage: $0 <parent-ref> <workload> <seeds> [out-dir]" >&2
+  echo "usage: $0 [--trace] <parent-ref> <workload> <seeds> [out-dir]" >&2
   exit 2
 fi
 PARENT_REF="$1"
@@ -61,7 +72,7 @@ run_side() {
   local dir="$1" seed="$2" jsonl="$3" line
   echo "== $dir seed $seed" >> "$OUT/runs.log"
   if ! line="$(python3 "$dir/perfbench/run.py" --workload "$WORKLOAD" \
-      --seed "$seed" --seconds "$SECONDS_PER_RUN" --trace 0 \
+      --seed "$seed" --seconds "$SECONDS_PER_RUN" --trace "$TRACE" \
       2>> "$OUT/runs.log" | tail -n 1)" || [ -z "$line" ]; then
     echo "perf_pairs: run failed in $dir (seed $seed); see $OUT/runs.log" >&2
     exit 1
@@ -85,6 +96,27 @@ for seed in $SEED_LIST; do
   pair=$((pair + 1))
   echo "perf_pairs: pair $pair (seed $seed) done" >&2
 done
+
+if [ "$TRACE" = 1 ]; then
+  python3 - "$OUT/parent.jsonl" "$OUT/change.jsonl" <<'EOF'
+import json, statistics, sys
+rows = lambda p: [json.loads(line)["result"]["metrics"]
+                  for line in open(p) if line.strip()]
+parent, change = rows(sys.argv[1]), rows(sys.argv[2])
+quartiles = lambda v: statistics.quantiles(v, n=4) if len(v) > 1 else v * 3
+side = lambda q: "%-11.5g [%.5g, %.5g]" % (q[1], q[0], q[2])
+print("%-26s %-34s %-34s %s" % ("row (%d pairs)" % len(parent),
+                                "parent median [q1, q3]",
+                                "change median [q1, q3]", "change/parent"))
+for name in parent[0]:
+    p = quartiles([m[name]["value"] for m in parent])
+    c = quartiles([m[name]["value"] for m in change])
+    print("%-26s %-34s %-34s %s" % (name, side(p), side(c),
+                                    "%.3f" % (c[1] / p[1]) if p[1] else "-"))
+EOF
+  echo "rows: $OUT/parent.jsonl $OUT/change.jsonl"
+  exit 0
+fi
 
 python3 - "$OUT/parent.jsonl" "$OUT/change.jsonl" <<'EOF'
 import json, statistics, sys
