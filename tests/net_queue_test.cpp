@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <ostream>
+#include <string>
 
 #include "net/drop_tail.hpp"
 #include "net/red.hpp"
@@ -192,7 +194,9 @@ TEST_P(PassThrough, MatchesStoreThenPop) {
     // The run reached every RED decision the pass-through can take.
     EXPECT_GT(red->early_drops() + red->ecn_marks(), 100u);
     EXPECT_GT(red->forced_drops(), 100u);
-    if (GetParam().ecn) EXPECT_GT(red->ecn_marks(), 100u);
+    if (GetParam().ecn) {
+      EXPECT_GT(red->ecn_marks(), 100u);
+    }
   }
 }
 
